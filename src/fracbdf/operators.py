@@ -8,14 +8,17 @@ quadrature.  Each participating order alpha_i contributes the convolution
     (b_i / tau^alpha_i) * sum_j g_j^(i) w^(n-j),
 
 so the assembled operator is a list of (scale, table) pairs sharing one
-tempering rate sigma and one step size tau.  The j = 0 term multiplies the
-unknown w^n and is exposed as ``zero_weight`` for the implicit solve; the
-lagged part is evaluated by :func:`apply_history`.
+tempering rate sigma and one step size tau.  Their sum is one convolution
+with the combined weights  S_j = sum_i (b_i / tau^alpha_i) g_j^(i), exposed
+as ``weights``.  The j = 0 term multiplies the unknown w^n and is exposed as
+``zero_weight`` for the implicit solve; the lagged part is evaluated by
+:func:`apply_history`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -128,10 +131,17 @@ class DiscreteTimeOperator:
     scales: tuple[float, ...]
     tables: tuple[CoefficientTable, ...]
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Combined weights S_j = sum_i scale_i * g_j^(i), j = 0..J (read-only)."""
+        S = sum(s * t.g for s, t in zip(self.scales, self.tables))
+        S.setflags(write=False)
+        return S
+
     @property
     def zero_weight(self) -> float:
         """Coefficient multiplying w^n in the implicit step; always > 0."""
-        return sum(s * t.g[0] for s, t in zip(self.scales, self.tables))
+        return float(self.weights[0])
 
 
 def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
@@ -171,7 +181,7 @@ def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
 
 
 def apply_history(op: DiscreteTimeOperator, history, n: int):
-    """Lagged part sum_i scale_i sum_{j=1}^{n} g_j^(i) w^(n-j).
+    """Lagged part sum_{j=1}^{n} S_j w^(n-j) of the combined convolution.
 
     ``history`` holds w^0 .. w^(n-1) (oldest first); the j = 0 term is
     excluded since it belongs to the implicit solve.  Accepts scalar or
@@ -181,13 +191,7 @@ def apply_history(op: DiscreteTimeOperator, history, n: int):
     if W.shape[0] != n:
         raise ParameterDomainError(
             f"history must hold exactly n={n} states, got {W.shape[0]}")
-    out = np.zeros(W.shape[1:] if W.ndim > 1 else ())
-    if n == 0:
-        return out
-    rev = W[::-1]
-    for s, t in zip(op.scales, op.tables):
-        out = out + s * (t.g[1:n + 1] @ rev)
-    return out
+    return op.weights[1:n + 1] @ W[::-1]
 
 
 def operator_spec_from_dict(d: dict) -> FractionalOperatorSpec:

@@ -1,0 +1,167 @@
+"""The modal march against a plain per-step reference, plus properties."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracbdf import (DenseSPDOperator, DistributedOrder, FractionalOperatorSpec,
+                     MultiTerm, ParameterDomainError, QuadratureRule, ScalarOperator,
+                     SingleTerm, SubdiffusionProblem, TridiagonalLaplacian,
+                     apply_history, correction_weights, discretize, step_solve)
+
+
+def reference_march(problem, k, N, corrected=True):
+    """The scheme step by step: history sum, then one shifted solve.
+
+    Returns u (N+1, dim) and the per-step relative residuals.
+    """
+    tau = problem.T / N
+    op = discretize(problem.time_op, k, tau, N)
+    A = problem.A
+    solve_shifted = A.shifted_solver(op.zero_weight)
+    acorr = [float(a) for a in correction_weights(k)] if corrected else []
+    Arho = A.matvec(problem.rho)
+    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
+    w = np.zeros((N + 1, A.dim))
+    residuals = np.zeros(N + 1)
+    for n in range(1, N + 1):
+        a_n = acorr[n - 1] if n - 1 < len(acorr) else 0.0
+        rhs = -decay[n] * (1.0 + a_n) * Arho - apply_history(op, w[:n], n)
+        w[n] = solve_shifted(rhs)
+        res = op.zero_weight * w[n] + A.matvec(w[n]) - rhs
+        residuals[n] = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
+    return w + decay[:, None] * problem.rho, residuals
+
+
+def _dense_matrix(dim):
+    rng = np.random.default_rng(dim)
+    B = rng.standard_normal((dim, dim))
+    return B @ B.T / dim + np.eye(dim)
+
+
+SPATIAL = {
+    "scalar": lambda: ScalarOperator(2.3),
+    "tridiagonal": lambda: TridiagonalLaplacian(9),
+    "dense": lambda: DenseSPDOperator(_dense_matrix(6)),
+}
+
+TIME = {
+    "single": FractionalOperatorSpec(SingleTerm(0.6), sigma=0.4),
+    "multi": FractionalOperatorSpec(MultiTerm(((1.5, 0.8), (0.7, 0.45), (0.3, 0.1))),
+                                    sigma=0.2),
+    "distributed": FractionalOperatorSpec(DistributedOrder(
+        weight=lambda a: 1.0 + a, quadrature=QuadratureRule.gauss_legendre(6)),
+        sigma=0.7),
+}
+
+
+def _problem(spatial, time, rho=None):
+    A = SPATIAL[spatial]()
+    if rho is None:
+        rho = np.cos(np.arange(1, A.dim + 1))
+    return SubdiffusionProblem(A=A, rho=rho, T=1.3, time_op=TIME[time])
+
+
+@pytest.mark.parametrize("corrected", (True, False))
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("time", TIME)
+@pytest.mark.parametrize("spatial", SPATIAL)
+def test_march_matches_reference(spatial, time, k, corrected):
+    prob = _problem(spatial, time)
+    N = 40
+    res = step_solve(prob, k, N, corrected=corrected)
+    u_ref, residuals_ref = reference_march(prob, k, N, corrected=corrected)
+    err = np.max(np.abs(res.u - u_ref)) / np.max(np.abs(u_ref))
+    assert err <= 1e-12
+    assert res.residuals[0] == 0.0
+    assert np.max(res.residuals) <= 1e-12
+    assert np.max(residuals_ref) <= 1e-12
+
+
+def test_march_matches_reference_long_blocked():
+    # N large enough that the modes are split over several blocks and the
+    # Newton doubling ends on a length that is not a power of two
+    prob = _problem("tridiagonal", "multi")
+    res = step_solve(prob, 4, 3001)
+    u_ref, _ = reference_march(prob, 4, 3001)
+    assert np.max(np.abs(res.u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+def test_supplied_operator_sigma_must_match():
+    prob = _problem("tridiagonal", "single")
+    spec = FractionalOperatorSpec(SingleTerm(0.6), sigma=0.0)
+    op = discretize(spec, 3, prob.T / 16, 16)
+    with pytest.raises(ParameterDomainError):
+        step_solve(prob, 3, 16, op=op)
+
+
+def test_supplied_operator_must_cover_all_steps():
+    prob = _problem("tridiagonal", "single")
+    op = discretize(prob.time_op, 3, prob.T / 16, 8)
+    with pytest.raises(ParameterDomainError):
+        step_solve(prob, 3, 16, op=op)
+    longer = discretize(prob.time_op, 3, prob.T / 16, 32)
+    assert np.array_equal(step_solve(prob, 3, 16, op=longer).u,
+                          step_solve(prob, 3, 16).u)
+
+
+def test_datum_is_a_frozen_copy():
+    rho = np.ones(9)
+    prob = _problem("tridiagonal", "single", rho=rho)
+    rho[:] = 5.0
+    assert np.all(prob.rho == 1.0)
+    with pytest.raises(ValueError):
+        prob.rho[0] = 2.0
+    before = prob.rho.copy()
+    step_solve(prob, 4, 16)
+    assert np.array_equal(prob.rho, before)
+
+
+def test_dense_eigensystem_reconstructs_matrix():
+    M = _dense_matrix(7)
+    lam, to_modal, from_modal = DenseSPDOperator(M).eigensystem()
+    np.testing.assert_allclose(from_modal(to_modal(np.eye(7)) * lam), M,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_tridiagonal_eigensystem_diagonalizes():
+    A = TridiagonalLaplacian(11, length=2.0)
+    lam, to_modal, from_modal = A.eigensystem()
+    v = np.sin(np.arange(11.0) ** 2)
+    np.testing.assert_allclose(from_modal(to_modal(v)), v, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(from_modal(lam * to_modal(v)), A.matvec(v),
+                               rtol=1e-12, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+_data = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=9, max_size=9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spatial=st.sampled_from(sorted(SPATIAL)), time=st.sampled_from(sorted(TIME)),
+       k=st.integers(1, 6), a=_data, b=_data, c=st.floats(-3.0, 3.0))
+def test_march_is_linear_in_datum(spatial, time, k, a, b, c):
+    dim = SPATIAL[spatial]().dim
+    ra, rb = np.array(a[:dim]), np.array(b[:dim])
+    ua = step_solve(_problem(spatial, time, ra), k, 24).u
+    ub = step_solve(_problem(spatial, time, rb), k, 24).u
+    uab = step_solve(_problem(spatial, time, ra + c * rb), k, 24).u
+    scale = max(np.max(np.abs(ua)) + abs(c) * np.max(np.abs(ub)), 1e-300)
+    assert np.max(np.abs(uab - (ua + c * ub))) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(spatial=st.sampled_from(sorted(SPATIAL)), time=st.sampled_from(sorted(TIME)),
+       k=st.integers(1, 6), N=st.integers(6, 64), corrected=st.booleans())
+def test_zero_datum_gives_zero_trajectory(spatial, time, k, N, corrected):
+    prob = _problem(spatial, time, rho=np.zeros(SPATIAL[spatial]().dim))
+    res = step_solve(prob, k, N, corrected=corrected)
+    assert np.all(res.u == 0.0)
+    assert np.all(res.residuals == 0.0)
+    assert math.isclose(res.times[-1], prob.T)
