@@ -180,11 +180,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _precision(text: str | None) -> int | None:
+    # Parsed here rather than by argparse so that a bad value gets the
+    # exit-2 JSON error; convergence_harness enforces the range.
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterDomainError(
+            f"precision must be an integer number of digits, got {text!r}") from None
+
+
 def cmd_converge(args) -> int:
     rep = convergence_harness(args.k, args.alpha, args.sigma, args.lam,
                               _int_list(args.n_list),
                               corrected=not args.uncorrected,
-                              precision=args.precision)
+                              precision=_precision(args.precision))
     if args.format == "json":
         _write_json(args.out, {
             "kind": "converge", "k": args.k, "alpha": args.alpha,
@@ -314,10 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--n-list", default="32,64,128,256,512")
     p.add_argument("--uncorrected", action="store_true")
-    p.add_argument("--precision", type=int, default=None,
-                   help="mpmath digits for the extended-precision twin")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface uniformity; the study is deterministic")
+    p.add_argument("--precision", default=None,
+                   help="digits (>= 16) resolved by the fixed-point extended-precision "
+                        "twin; resolution 2^-P with P = ceil(digits*log2(10)) + 32")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_converge)

@@ -120,10 +120,10 @@ class FracParams:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if self.sigma < 0.0:
-            raise ParameterDomainError(f"sigma must be >= 0, got {self.sigma!r}")
-        if self.tau <= 0.0:
-            raise ParameterDomainError(f"tau must be > 0, got {self.tau!r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterDomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise ParameterDomainError(f"tau must be finite and > 0, got {self.tau!r}")
 
     @property
     def damping(self) -> float:

@@ -17,6 +17,7 @@ as ``weights``.  The j = 0 term multiplies the unknown w^n and is exposed as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -107,8 +108,8 @@ class FractionalOperatorSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ParameterDomainError(f"sigma must be >= 0, got {self.sigma!r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterDomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 #: Named weight functions for distributed-order problems.  Each entry maps

@@ -29,6 +29,9 @@ roundoff that A amplifies by its largest eigenvalue (relative residuals
 near 1e-10 at dim 2048).  The per-step residuals are then evaluated for
 all steps at once from a physical-space FFT convolution of S with w; they
 never touch the eigensystem, so they check the modal solve independently.
+The series d / (S + lam_i) do not depend on rho, so the same kernel marches
+a (trials x dim) block of data at once; :func:`stability_experiment` uses
+that for its perturbations and :func:`step_solve` is its one-datum case.
 
 Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
 Laplacian on a uniform interior grid (orthonormal DST-I basis; banded
@@ -40,10 +43,10 @@ system (S_0 I + A) x = b.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 from scipy.fft import dst, irfft, next_fast_len, rfft
@@ -90,8 +93,8 @@ class ScalarOperator:
     """A = lam > 0 acting on one degree of freedom."""
 
     def __init__(self, value: float):
-        if value <= 0.0:
-            raise ParameterDomainError(f"scalar operator must be > 0, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise ParameterDomainError(f"scalar operator must be finite and > 0, got {value!r}")
         self.value = float(value)
 
     @property
@@ -246,8 +249,8 @@ class SubdiffusionProblem:
         rho = np.array(self.rho, dtype=float, ndmin=1)
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-        if self.T <= 0.0:
-            raise ParameterDomainError(f"T must be > 0, got {self.T!r}")
+        if not 0.0 < self.T < math.inf:
+            raise ParameterDomainError(f"T must be finite and > 0, got {self.T!r}")
         if rho.shape != (self.A.dim,):
             raise ParameterDomainError(
                 f"rho has shape {rho.shape}, operator dimension is {self.A.dim}")
@@ -303,6 +306,25 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
     across repeated solves with identical (k, tau, spec); it must match k,
     tau and sigma and cover at least N steps.
     """
+    tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected, op)
+    w, residuals = w[:, 0], residuals[:, 0]
+    u = decay[:, None] * problem.rho
+    u += w
+    times = tau * np.arange(N + 1)
+    for arr in (times, u, w, residuals):
+        arr.setflags(write=False)
+    return SolveResult(times=times, u=u, w=w, residuals=residuals, k=k,
+                       tau=tau, corrected=corrected, sigma=problem.sigma)
+
+
+def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
+           corrected: bool, op: DiscreteTimeOperator | None):
+    """March the data rho[b] (rows of a trials x dim block) of ``problem``.
+
+    Returns (tau, decay, w, residuals) with w of shape (N+1, trials, dim)
+    and residuals of shape (N+1, trials).  The modal series d / (S + lam_i)
+    do not depend on the datum, so they are computed once for the block.
+    """
     check_order(k)
     if N < k:
         raise ParameterDomainError(f"need N >= k = {k}, got N = {N}")
@@ -321,26 +343,22 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
     if S[0] <= 0.0:
         raise ParameterDomainError(f"zero weight must be > 0, got {S[0]!r}")
     A = problem.A
-    rho = problem.rho
     decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
     d = decay.copy()
     d[0] = 0.0
     if corrected:
         for n, a in enumerate(correction_weights(k), start=1):
             d[n] *= 1.0 + float(a)
-    Arho = A.matvec(rho)
+    Arho = A.matvec(rho.T).T
     lam, to_modal, from_modal = A.eigensystem()
     rhs = from_modal(_modal_march(S, lam, -(S[0] + lam) * to_modal(Arho), d))
-    w = A.shifted_solver(S[0])(rhs.T).T
-    del rhs                    # at most two (N+1) x dim arrays live at once
-    residuals = _residuals(A, S, w, d, Arho)
-    u = decay[:, None] * rho
-    u += w
-    times = tau * np.arange(N + 1)
-    for arr in (times, u, w, residuals):
-        arr.setflags(write=False)
-    return SolveResult(times=times, u=u, w=w, residuals=residuals, k=k,
-                       tau=tau, corrected=corrected, sigma=problem.sigma)
+    M, trials, dim = rhs.shape
+    w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
+    del rhs                    # at most two (N+1) x trials x dim arrays live at once
+    # One datum at a time, so the history buffer stays (N+1) x dim.
+    residuals = np.stack([_residuals(A, S, w[:, b], d, Arho[b]) for b in range(trials)],
+                         axis=1)
+    return tau, decay, w, residuals
 
 
 def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -369,16 +387,17 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def _modal_march(S: np.ndarray, lam: np.ndarray, coef: np.ndarray,
                  d: np.ndarray) -> np.ndarray:
-    """Modal trajectories: column i holds coef_i * (d / (S + lam_i)) to N+1 terms."""
+    """Modal trajectories: out[:, b, i] = coef[b, i] * (d / (S + lam_i)) to
+    N+1 terms, for a (trials, dim) block of coefficients."""
     M = len(S)
-    out = np.empty((M, len(lam)))
+    out = np.empty((M, *coef.shape))
     nfft = next_fast_len(2 * M - 1, real=True)
     d_hat = rfft(d, nfft)
     rows = max(1, _BLOCK // M)
     for b in range(0, len(lam), rows):
         R_hat = rfft(_reciprocal_series(S, lam[b:b + rows]), nfft, axis=1)
         block = irfft(R_hat * d_hat, nfft, axis=1)[:, :M]
-        out[:, b:b + rows] = (block * coef[b:b + rows, None]).T
+        out[:, :, b:b + rows] = block.T[:, None, :] * coef[:, b:b + rows]
     return out
 
 
@@ -504,27 +523,28 @@ def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
     """Measure terminal errors of the scalar scheme along a refinement path.
 
     ``precision`` selects the arithmetic: None runs the production float64
-    stepper; an integer runs the mpmath twin at that many digits (needed to
-    observe orders k >= 5, whose errors drop below the float64 floor on
-    fine grids).
+    stepper; an integer >= 16 runs the fixed-point twin of
+    :mod:`fracbdf.highprec` at a resolution of 2^-P, P = ceil(precision *
+    log2(10)) + 32 (needed to observe orders k >= 5, whose errors drop
+    below the float64 floor on fine grids).
     """
     check_order(k)
     check_alpha(alpha)
+    if precision is not None and (not isinstance(precision, Integral) or precision < 16):
+        raise ParameterDomainError(
+            f"precision must be an integer number of digits >= 16, got {precision!r}")
+    problem = scalar_problem(lam, alpha, sigma, rho, T)   # validates the inputs
     N_list = tuple(int(n) for n in N_list)
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ParameterDomainError("N_list must be strictly increasing, length >= 2")
-    errors = []
     if precision is None:
-        for N in N_list:
-            res = step_solve(scalar_problem(lam, alpha, sigma, rho, T), k, N,
-                             corrected=corrected)
-            exact = exact_scalar_solution(lam, alpha, sigma, rho, T)
-            errors.append(abs(float(res.terminal[0]) - exact))
+        exact = exact_scalar_solution(lam, alpha, sigma, rho, T)
+        errors = [abs(float(step_solve(problem, k, N, corrected=corrected).terminal[0])
+                      - exact) for N in N_list]
     else:
-        from .highprec import terminal_error_mp
-        for N in N_list:
-            errors.append(terminal_error_mp(k, alpha, sigma, lam, rho, T, N,
-                                            corrected=corrected, dps=precision))
+        from .highprec import terminal_errors_mp
+        errors = terminal_errors_mp(k, alpha, sigma, lam, rho, T, N_list,
+                                    corrected=corrected, dps=int(precision))
     orders = []
     for e0, e1 in zip(errors, errors[1:]):
         if e0 > 0.0 and e1 > 0.0:
@@ -567,24 +587,28 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     Each perturbation draws a Gaussian eps^0 and measures, in the energy
     norm, the difference between the runs from rho + eps^0 and from rho.
     The scheme is linear in rho, so that difference is the run from eps^0
-    itself, which is what is marched (with one shared time operator).
+    itself.  All perturbations are marched as one (perturbations x dim)
+    block through the kernel of :func:`step_solve`, which evaluates every
+    run's residuals as well.
     """
     rng = np.random.default_rng(seed)
     A = problem.A
-    tau = problem.T / N
-    op = discretize(problem.time_op, k, tau, N)
-    ratios_sq = []
-    ratios_lin = []
-    for _ in range(perturbations):
-        eps0 = amplitude * rng.standard_normal(A.dim)
-        eps = step_solve(dataclasses.replace(problem, rho=eps0), k, N, op=op).u[1:]
-        # Energy norms |A^(1/2) eps^n| of the whole trajectory in one block.
-        norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", eps, A.matvec(eps.T).T), 0.0))
-        e0 = A.energy_norm(eps0)
-        ratios_sq.append(float(np.sum(norms ** 2)) / (N * e0 ** 2))
-        ratios_lin.append(tau * float(np.sum(norms)) / (problem.T * e0))
-    return PerturbationRecord(k=k, N=N, ratios_sq=tuple(ratios_sq),
-                              ratios_lin=tuple(ratios_lin))
+    eps0 = amplitude * rng.standard_normal((perturbations, A.dim))
+    tau, decay, w, _ = _march(problem, k, N, eps0, True, None)
+    # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
+    # that no second full-size array is live beside w.
+    w, decay = w[1:], decay[1:]
+    norms = np.empty((N, perturbations))
+    rows = max(1, _BLOCK // (perturbations * A.dim))
+    for r in range(0, N, rows):
+        eps = (decay[r:r + rows, None, None] * eps0 + w[r:r + rows]).reshape(-1, A.dim)
+        sq = np.einsum("ij,ij->i", eps, A.matvec(eps.T).T)
+        norms[r:r + rows] = np.sqrt(np.maximum(sq, 0.0)).reshape(-1, perturbations)
+    e0 = np.array([A.energy_norm(e) for e in eps0])
+    ratios_sq = np.sum(norms ** 2, axis=0) / (N * e0 ** 2)
+    ratios_lin = tau * np.sum(norms, axis=0) / (problem.T * e0)
+    return PerturbationRecord(k=k, N=N, ratios_sq=tuple(map(float, ratios_sq)),
+                              ratios_lin=tuple(map(float, ratios_lin)))
 
 
 @dataclass(frozen=True)

@@ -140,3 +140,47 @@ def test_error_reporting(capsys):
     assert code == 2
     payload = json.loads(captured.err)
     assert "BDF order" in payload["error"]
+
+
+def _solve_config(tmp_path, sigma=0.0, T=1.0):
+    # json writes float('nan') and float('inf') as NaN and Infinity, which
+    # json.load reads back.
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps({
+        "operator": {"variant": "single_term", "alpha": 0.5, "sigma": sigma},
+        "spatial": {"variant": "scalar", "value": 1.0},
+        "rho": 1.0, "T": T}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("field", ("sigma", "T"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf")))
+def test_solve_rejects_non_finite_config(capsys, tmp_path, field, value):
+    cfg = _solve_config(tmp_path, **{field: value})
+    code = main(["solve", "--config", cfg, "--k", "2", "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "error"
+
+
+@pytest.mark.parametrize("precision", ("0", "-3", "15", "1.5", "abc"))
+def test_converge_rejects_bad_precision(capsys, precision):
+    code = main(["converge", "--k", "5", "--alpha", "0.5", "--n-list", "16,32",
+                 "--precision", precision])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "precision" in json.loads(captured.err)["error"]
+
+
+def test_converge_high_precision_json(capsys):
+    code, out = run_cli(capsys, "converge", "--k", "5", "--alpha", "0.5",
+                        "--n-list", "32,64,128", "--precision", "30",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["observed_order"] == pytest.approx(5.0, abs=0.35)
+
+
+def test_converge_has_no_seed_flag():
+    with pytest.raises(SystemExit):
+        main(["converge", "--k", "2", "--alpha", "0.5", "--seed", "1"])

@@ -1,5 +1,6 @@
 """The modal march against a plain per-step reference, plus properties."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from fracbdf import (DenseSPDOperator, DistributedOrder, FractionalOperatorSpec,
                      MultiTerm, ParameterDomainError, QuadratureRule, ScalarOperator,
                      SingleTerm, SubdiffusionProblem, TridiagonalLaplacian,
-                     apply_history, correction_weights, discretize, step_solve)
+                     apply_history, correction_weights, discretize, stability_experiment,
+                     step_solve)
 
 
 def reference_march(problem, k, N, corrected=True):
@@ -165,3 +167,25 @@ def test_zero_datum_gives_zero_trajectory(spatial, time, k, N, corrected):
     assert np.all(res.u == 0.0)
     assert np.all(res.residuals == 0.0)
     assert math.isclose(res.times[-1], prob.T)
+
+
+@pytest.mark.parametrize("k", (1, 3, 6))
+@pytest.mark.parametrize("time", TIME)
+@pytest.mark.parametrize("spatial", SPATIAL)
+def test_batched_perturbations_match_single_solves(spatial, time, k):
+    """The block march of stability_experiment against one step_solve per
+    perturbation, with the draws taken one perturbation at a time."""
+    problem, N, trials = _problem(spatial, time), 20, 4
+    rec = stability_experiment(problem, k, N, perturbations=trials, seed=11,
+                               amplitude=0.7)
+    A, tau = problem.A, problem.T / N
+    rng = np.random.default_rng(11)
+    for b in range(trials):
+        eps0 = 0.7 * rng.standard_normal(A.dim)
+        res = step_solve(dataclasses.replace(problem, rho=eps0), k, N)
+        norms = np.array([A.energy_norm(e) for e in res.u[1:]])
+        e0 = A.energy_norm(eps0)
+        assert rec.ratios_sq[b] == pytest.approx(np.sum(norms ** 2) / (N * e0 ** 2),
+                                                 rel=1e-12, abs=0.0)
+        assert rec.ratios_lin[b] == pytest.approx(tau * np.sum(norms) / (problem.T * e0),
+                                                  rel=1e-12, abs=0.0)

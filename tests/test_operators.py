@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracbdf import (DistributedOrder, FracParams, FractionalOperatorSpec,
-                     MultiTerm, ParameterDomainError, QuadratureRule, SingleTerm,
-                     apply_history, bdf_g_coefficients, discretize,
-                     operator_spec_from_dict)
+                     MultiTerm, ParameterDomainError, QuadratureRule, ScalarOperator,
+                     SingleTerm, SubdiffusionProblem, apply_history,
+                     bdf_g_coefficients, discretize, operator_spec_from_dict)
 
 
 def test_single_term_validation():
@@ -151,3 +151,18 @@ def test_spec_from_dict_rejects_unknown():
         operator_spec_from_dict({"variant": "distributed_order", "weight": "nope"})
     with pytest.raises(ParameterDomainError):
         operator_spec_from_dict({"alpha": 0.5})
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+def test_non_finite_parameters_rejected(bad):
+    spec = FractionalOperatorSpec(SingleTerm(0.5))
+    for build in (lambda: FracParams(alpha=0.5, sigma=bad),
+                  lambda: FracParams(alpha=0.5, tau=bad),
+                  lambda: FractionalOperatorSpec(SingleTerm(0.5), sigma=bad),
+                  lambda: operator_spec_from_dict(
+                      {"variant": "single_term", "alpha": 0.5, "sigma": bad}),
+                  lambda: ScalarOperator(bad),
+                  lambda: SubdiffusionProblem(A=ScalarOperator(1.0), rho=[1.0],
+                                              T=bad, time_op=spec)):
+        with pytest.raises(ParameterDomainError):
+            build()
