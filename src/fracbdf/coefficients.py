@@ -161,31 +161,35 @@ def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
     The starting values l_0..l_{k-1} are evaluated from their closed forms
     (polynomials in alpha times the common factor H_k^alpha); subsequent
     entries use the k-term recurrence.  Work is O(J*k).
+
+    The recurrence coefficients f_m s_m (1 - m(alpha+1)/j) are computed as
+    arrays; each l_j is then accumulated in Python floats over m = 1..k,
+    left to right from 0.0.  That order is fixed, so the output is bitwise
+    stable (``sum()`` is not used: it compensates float sums on Python 3.12).
     """
     check_order(k)
     check_alpha(alpha)
     if J < 0:
         raise ParameterDomainError(f"J must be >= 0, got {J!r}")
     l0 = float(_LEADING[k]) ** alpha
-    l = np.empty(J + 1)
-    l[0] = l0
-    for i, poly in enumerate(_START[k], start=1):
-        if i > J:
-            break
+    l = [l0]
+    for poly in _START[k][:J]:
         acc = 0.0
         for c in reversed(poly):        # Horner in alpha, constant term 0
             acc = (acc + float(c)) * alpha
-        l[i] = l0 * acc
-    factors = [float(f) for f in _RECURRENCE[k]]
+        l.append(l0 * acc)
+    js = np.arange(k, J + 1, dtype=float)
     ap1 = alpha + 1.0
-    for j in range(k, J + 1):
-        acc = 0.0
-        sign = 1.0
-        for m, f in enumerate(factors, start=1):
-            acc += f * sign * (1.0 - m * ap1 / j) * l[j - m]
-            sign = -sign
-        l[j] = acc
-    return l
+    cols = [float(f) * (-1.0) ** (m + 1) * (1.0 - m * ap1 / js)
+            for m, f in enumerate(_RECURRENCE[k], start=1)]
+    coefs = np.stack(cols, axis=1)
+    for lo in range(0, len(coefs), 512):    # bounds the Python-float rows held
+        for coef in coefs[lo:lo + 512].tolist():
+            acc = 0.0
+            for m, c in enumerate(coef, start=1):
+                acc += c * l[-m]
+            l.append(acc)
+    return np.array(l)
 
 
 def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class ParameterDomainError(ValueError):
     """A parameter lies outside its documented domain."""
@@ -15,3 +17,19 @@ class InternalConsistencyError(RuntimeError):
 
 class GridTooCoarseError(RuntimeError):
     """A sweep grid is too coarse to trace the quantity continuously."""
+
+
+def parses_config(parse):
+    """Decorate a config parser so that a malformed value (a non-numeric
+    string, a wrong-length entry, an unknown keyword, a missing key) raises
+    ParameterDomainError instead of the ValueError, TypeError or KeyError
+    that parsing it raised."""
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ParameterDomainError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ParameterDomainError(f"malformed config: {exc!s}") from exc
+    return wrapper

@@ -10,9 +10,11 @@ quadrature.  Each participating order alpha_i contributes the convolution
 so the assembled operator is a list of (scale, table) pairs sharing one
 tempering rate sigma and one step size tau.  Their sum is one convolution
 with the combined weights  S_j = sum_i (b_i / tau^alpha_i) g_j^(i), exposed
-as ``weights``.  The j = 0 term multiplies the unknown w^n and is exposed as
-``zero_weight`` for the implicit solve; the lagged part is evaluated by
-:func:`apply_history`.
+as ``weights``.  Since g_j = e^(-sigma*j*tau) l_j for every table,
+S_j = e^(-sigma*j*tau) S^_j with the untempered weights S^ built from the
+l_j, exposed as ``untempered_weights``.  The j = 0 term multiplies the
+unknown w^n and is exposed as ``zero_weight`` for the implicit solve; the
+lagged part is evaluated by :func:`apply_history`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientTable, FracParams, bdf_g_coefficients, check_order
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, parses_config
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class MultiTerm:
             raise ParameterDomainError("multi-term operator needs at least one term")
         prev = 1.0
         for b, alpha in self.terms:
-            if b <= 0.0:
-                raise ParameterDomainError(f"term weights must be > 0, got {b!r}")
+            if not 0.0 < b < math.inf:
+                raise ParameterDomainError(f"term weights must be finite and > 0, got {b!r}")
             if not 0.0 < alpha < 1.0:
                 raise ParameterDomainError(
                     f"multi-term orders must lie in (0, 1), got {alpha!r}")
@@ -112,13 +114,23 @@ class FractionalOperatorSpec:
             raise ParameterDomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
+def _constant_weight(c=1.0):
+    c = float(c)
+    return lambda alpha: c
+
+
+def _power_weight(p=1.0, c=1.0):
+    p, c = float(p), float(c)
+    return lambda alpha: c * alpha ** p
+
+
 #: Named weight functions for distributed-order problems.  Each entry maps
 #: keyword parameters to a callable alpha -> weight.  The Dirac comb is not
 #: listed here: a point-mass weight has no density, so configs request it
 #: by name and it is realized exactly as the equivalent multi-term variant.
 WEIGHT_FUNCTIONS: dict[str, Callable[..., Callable[[float], float]]] = {
-    "constant": lambda c=1.0: (lambda alpha: float(c)),
-    "power": lambda p=1.0, c=1.0: (lambda alpha: float(c) * alpha ** float(p)),
+    "constant": _constant_weight,
+    "power": _power_weight,
 }
 
 
@@ -136,6 +148,14 @@ class DiscreteTimeOperator:
     def weights(self) -> np.ndarray:
         """Combined weights S_j = sum_i scale_i * g_j^(i), j = 0..J (read-only)."""
         S = sum(s * t.g for s, t in zip(self.scales, self.tables))
+        S.setflags(write=False)
+        return S
+
+    @cached_property
+    def untempered_weights(self) -> np.ndarray:
+        """Combined untempered weights S^_j = sum_i scale_i * l_j^(i), so that
+        S_j = e^(-sigma*j*tau) S^_j; S^_0 equals S_0 bitwise (read-only)."""
+        S = sum(s * t.l for s, t in zip(self.scales, self.tables))
         S.setflags(write=False)
         return S
 
@@ -162,9 +182,10 @@ def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
         pairs = []
         for a, wq in zip(v.quadrature.nodes, v.quadrature.weights):
             mu = float(v.weight(a))
-            if mu < 0.0:
+            if not 0.0 <= mu < math.inf:
                 raise ParameterDomainError(
-                    f"distributed-order weight is negative at alpha={a!r}: {mu!r}")
+                    f"distributed-order weight must be finite and >= 0, "
+                    f"got {mu!r} at alpha={a!r}")
             if wq * mu != 0.0:
                 pairs.append((wq * mu, a))
         if not pairs:
@@ -195,6 +216,7 @@ def apply_history(op: DiscreteTimeOperator, history, n: int):
     return op.weights[1:n + 1] @ W[::-1]
 
 
+@parses_config
 def operator_spec_from_dict(d: dict) -> FractionalOperatorSpec:
     """Build an operator spec from a parsed config mapping.
 

@@ -15,23 +15,40 @@ With the combined weights S_j of P_tau, step n solves the SPD system
     f^n = -d_n A rho,   d_n = e^(-sigma*n*tau) (1 + a_n),   d_0 = 0,
 
 so the whole march is one lower-triangular block Toeplitz system in time.
+Every table of P_tau shares sigma and tau, so S_j = e^(-sigma*j*tau) S^_j
+with the untempered weights S^ (the operator's ``untempered_weights``),
+and d_n = e^(-sigma*n*tau) d^_n with d^_n = 1 + a_n.
+Dividing step n by e^(-sigma*n*tau) gives the same system in S^ and d^,
+so w^n = e^(-sigma*n*tau) w^^n: the march solves for w^ and applies the
+tempering once, at the end.  In that frame every step has the same scale;
+marching the tempered system directly leaves late steps with roundoff on
+the scale of the early ones, which has no correct digits once sigma*T is
+large.  S^_0 = S_0, so the shifted systems are the same.
+
 Every spatial operator here is SPD with a cheap eigensystem
 A = V diag(lam) V^T, exposed by its ``eigensystem()`` method as
 (lam, to_modal, from_modal).  In the modal basis the system splits into
-scalar power-series divisions  w_i(z) = f_i(z) / (S(z) + lam_i),  the modal
-form of the fast Toeplitz solve of Hairer, Lubich and Schlichte (SIAM J.
-Sci. Stat. Comput. 1985).  :func:`step_solve` computes each reciprocal
-1/(S + lam_i) by Newton doubling with FFT products, in blocks of modes,
-maps the modal right-hand sides rhs_i = (S_0 + lam_i) w_i back with one
-``from_modal``, and gets every w^n from one block solve with (S_0 I + A).
-That solve is backward stable; mapping w itself back would leave transform
-roundoff that A amplifies by its largest eigenvalue (relative residuals
-near 1e-10 at dim 2048).  The per-step residuals are then evaluated for
-all steps at once from a physical-space FFT convolution of S with w; they
-never touch the eigensystem, so they check the modal solve independently.
-The series d / (S + lam_i) do not depend on rho, so the same kernel marches
-a (trials x dim) block of data at once; :func:`stability_experiment` uses
-that for its perturbations and :func:`step_solve` is its one-datum case.
+scalar power-series divisions  w^_i(z) = f^_i(z) / (S^(z) + lam_i),  the
+modal form of the fast Toeplitz solve of Hairer, Lubich and Schlichte
+(SIAM J. Sci. Stat. Comput. 1985).  :func:`step_solve` computes each
+reciprocal 1/(S^ + lam_i) by Newton doubling with FFT products; each
+doubling round batches as many modes per FFT call as fit in one block, so
+the short early rounds cost few calls.  The datum d^(z) = z/(1-z) +
+sum_n a_n z^n needs no FFT: its product with a reciprocal is a cumulative
+sum along time plus k-1 shifted adds.  The modal right-hand sides
+rhs_i = (S_0 + lam_i) w^_i are mapped back with one ``from_modal``, and
+every w^n comes from one block solve with (S_0 I + A).  That solve is
+backward stable; mapping w itself back would leave transform roundoff that
+A amplifies by its largest eigenvalue (relative residuals near 1e-10 at
+dim 2048).  The per-step residuals are then evaluated for all steps at
+once, in the untempered frame, from a physical-space FFT convolution of S^
+with w^; they never touch the eigensystem, so they check the modal solve
+independently.  Scaling row n by e^(sigma*n*tau) leaves its relative
+residual unchanged, so these are the residuals of the tempered system too.
+The series d^ / (S^ + lam_i) do not depend on rho, so the same kernel
+marches a (trials x dim) block of data at once; :func:`stability_experiment`
+uses that for its perturbations and :func:`step_solve` is its one-datum
+case.
 
 Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
 Laplacian on a uniform interior grid (orthonormal DST-I basis; banded
@@ -53,7 +70,7 @@ from scipy.fft import dst, irfft, next_fast_len, rfft
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
 from .coefficients import check_alpha, check_order
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, parses_config
 from .operators import (DiscreteTimeOperator, FractionalOperatorSpec, SingleTerm,
                         discretize, operator_spec_from_dict)
 from .special import exact_scalar_solution
@@ -133,8 +150,8 @@ class TridiagonalLaplacian:
     def __init__(self, size: int, length: float = 1.0):
         if size < 1:
             raise ParameterDomainError(f"size must be >= 1, got {size!r}")
-        if length <= 0.0:
-            raise ParameterDomainError(f"length must be > 0, got {length!r}")
+        if not 0.0 < length < math.inf:
+            raise ParameterDomainError(f"length must be finite and > 0, got {length!r}")
         self.size = int(size)
         self.length = float(length)
         self.h = self.length / (self.size + 1)
@@ -194,6 +211,8 @@ class DenseSPDOperator:
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ParameterDomainError("matrix must be square")
+        if not np.all(np.isfinite(A)):
+            raise ParameterDomainError("matrix entries must be finite")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
             raise ParameterDomainError("matrix must be symmetric")
         lam, V = np.linalg.eigh(A)
@@ -254,6 +273,8 @@ class SubdiffusionProblem:
         if rho.shape != (self.A.dim,):
             raise ParameterDomainError(
                 f"rho has shape {rho.shape}, operator dimension is {self.A.dim}")
+        if not np.all(np.isfinite(rho)):
+            raise ParameterDomainError("rho entries must be finite")
 
     @property
     def sigma(self) -> float:
@@ -290,9 +311,9 @@ class SolveResult:
         return self.u[-1]
 
 
-#: Largest (modes or columns) x (N+1) block the march transforms at once;
-#: bounds the FFT work arrays at a few hundred KiB.
-_BLOCK = 2 ** 14
+#: Element budget of one block: rows x FFT length per transform call, rows x
+#: columns per elementwise pass; bounds the work arrays at a few hundred KiB.
+_BLOCK = 2 ** 15
 
 
 def step_solve(problem: SubdiffusionProblem, k: int, N: int,
@@ -322,8 +343,10 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     """March the data rho[b] (rows of a trials x dim block) of ``problem``.
 
     Returns (tau, decay, w, residuals) with w of shape (N+1, trials, dim)
-    and residuals of shape (N+1, trials).  The modal series d / (S + lam_i)
-    do not depend on the datum, so they are computed once for the block.
+    and residuals of shape (N+1, trials).  The march runs in the untempered
+    frame (module docstring) and applies the tempering e^(-sigma*n*tau) to
+    w once, at the end.  The modal series d / (S + lam_i) do not depend on
+    the datum, so they are computed once for the block.
     """
     check_order(k)
     if N < k:
@@ -336,28 +359,28 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     elif op.sigma != problem.sigma:
         raise ParameterDomainError(
             f"supplied operator has sigma = {op.sigma!r}, problem has {problem.sigma!r}")
-    elif len(op.weights) < N + 1:
+    elif len(op.untempered_weights) < N + 1:
         raise ParameterDomainError(
-            f"supplied operator covers {len(op.weights) - 1} steps, need N = {N}")
-    S = op.weights[:N + 1]
+            f"supplied operator covers {len(op.untempered_weights) - 1} steps, need N = {N}")
+    S = op.untempered_weights[:N + 1]
     if S[0] <= 0.0:
         raise ParameterDomainError(f"zero weight must be > 0, got {S[0]!r}")
     A = problem.A
-    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
-    d = decay.copy()
+    corrections = [float(a) for a in correction_weights(k)] if corrected else []
+    d = np.ones(N + 1)
     d[0] = 0.0
-    if corrected:
-        for n, a in enumerate(correction_weights(k), start=1):
-            d[n] *= 1.0 + float(a)
+    d[1:1 + len(corrections)] += corrections
     Arho = A.matvec(rho.T).T
     lam, to_modal, from_modal = A.eigensystem()
-    rhs = from_modal(_modal_march(S, lam, -(S[0] + lam) * to_modal(Arho), d))
+    rhs = from_modal(_modal_march(S, lam, -(S[0] + lam) * to_modal(Arho), corrections))
     M, trials, dim = rhs.shape
     w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
     del rhs                    # at most two (N+1) x trials x dim arrays live at once
     # One datum at a time, so the history buffer stays (N+1) x dim.
     residuals = np.stack([_residuals(A, S, w[:, b], d, Arho[b]) for b in range(trials)],
                          axis=1)
+    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
+    w *= decay[:, None, None]
     return tau, decay, w, residuals
 
 
@@ -367,7 +390,9 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     Newton doubling: if R is exact to m terms and (S + shift) R = 1 + z^m E,
     then R - z^m R E is exact to 2m terms.  Both products run as FFT
     products of length 2m; the first is a middle product, whose wrapped-around
-    part lands only on the m low coefficients that are not used.
+    part lands only on the m low coefficients that are not used.  Each
+    round transforms as many shifts per call as fit in ``_BLOCK``, so the
+    short early rounds take many rows per FFT call.
     """
     M = len(S)
     R = np.empty((len(shifts), M))
@@ -376,27 +401,39 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     while m < M:
         m2 = min(2 * m, M)
         nfft = next_fast_len(m2, real=True)
-        # Adding the shift to every bin adds it to the z^0 coefficient.
-        P_hat = rfft(S[:m2], nfft) + shifts[:, None]
-        R_hat = rfft(R[:, :m], nfft, axis=1)
-        E = irfft(P_hat * R_hat, nfft, axis=1)[:, m:m2]
-        R[:, m:m2] = -irfft(R_hat * rfft(E, nfft, axis=1), nfft, axis=1)[:, :m2 - m]
+        S_hat = rfft(S[:m2], nfft)
+        rows = max(1, _BLOCK // nfft)
+        for b in range(0, len(shifts), rows):
+            # Adding the shift to every bin adds it to the z^0 coefficient.
+            P_hat = S_hat + shifts[b:b + rows, None]
+            R_hat = rfft(R[b:b + rows, :m], nfft, axis=1)
+            E = irfft(P_hat * R_hat, nfft, axis=1)[:, m:m2]
+            R[b:b + rows, m:m2] = -irfft(R_hat * rfft(E, nfft, axis=1), nfft,
+                                         axis=1)[:, :m2 - m]
         m = m2
     return R
 
 
 def _modal_march(S: np.ndarray, lam: np.ndarray, coef: np.ndarray,
-                 d: np.ndarray) -> np.ndarray:
+                 corrections: list[float]) -> np.ndarray:
     """Modal trajectories: out[:, b, i] = coef[b, i] * (d / (S + lam_i)) to
-    N+1 terms, for a (trials, dim) block of coefficients."""
+    N+1 terms, for a (trials, dim) block of coefficients, with the datum
+    d(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
+
+    The product with z/(1 - z) is a cumulative sum shifted by one step, so
+    the datum costs one cumsum plus one shifted add per correction.
+    """
     M = len(S)
+    R = _reciprocal_series(S, lam)
     out = np.empty((M, *coef.shape))
-    nfft = next_fast_len(2 * M - 1, real=True)
-    d_hat = rfft(d, nfft)
     rows = max(1, _BLOCK // M)
     for b in range(0, len(lam), rows):
-        R_hat = rfft(_reciprocal_series(S, lam[b:b + rows]), nfft, axis=1)
-        block = irfft(R_hat * d_hat, nfft, axis=1)[:, :M]
+        Rb = R[b:b + rows]
+        block = np.empty_like(Rb)
+        block[:, 0] = 0.0
+        np.cumsum(Rb[:, :-1], axis=1, out=block[:, 1:])
+        for n, a in enumerate(corrections, start=1):
+            block[:, n:] += a * Rb[:, :M - n]
         out[:, :, b:b + rows] = block.T[:, None, :] * coef[:, b:b + rows]
     return out
 
@@ -413,7 +450,7 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
     nfft = next_fast_len(2 * M - 1, real=True)
     S_hat = rfft(S, nfft)[:, None]
     hist = np.empty_like(w)
-    cols = max(1, _BLOCK // M)
+    cols = max(1, _BLOCK // nfft)
     for c in range(0, dim, cols):
         conv = irfft(rfft(w[:, c:c + cols], nfft, axis=0) * S_hat, nfft, axis=0)
         hist[:, c:c + cols] = conv[:M] - S[0] * w[:, c:c + cols]
@@ -428,6 +465,7 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
     return out
 
 
+@parses_config
 def spatial_from_dict(d: dict):
     """Build a spatial operator from a parsed config mapping.
 
@@ -472,6 +510,7 @@ def _rho_from_config(value, A) -> np.ndarray:
     return arr
 
 
+@parses_config
 def problem_from_dict(d: dict) -> SubdiffusionProblem:
     """Build a full problem from a parsed config mapping.
 

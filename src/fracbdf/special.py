@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import InternalConsistencyError, ParameterDomainError
 
 _SERIES_CUTOFF = 5.0
@@ -79,6 +77,8 @@ def _series_mp(alpha: float, z: float, n_terms: int, guard_digits: int) -> float
 
 
 def _integral(alpha: float, z: float) -> float:
+    from scipy.integrate import quad
+
     x = -z
     s = x ** (1.0 / alpha)
     c = math.cos(alpha * math.pi)

@@ -184,3 +184,54 @@ def test_converge_high_precision_json(capsys):
 def test_converge_has_no_seed_flag():
     with pytest.raises(SystemExit):
         main(["converge", "--k", "2", "--alpha", "0.5", "--seed", "1"])
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SCALAR = {"variant": "scalar", "value": 1.0}
+_TRI = {"variant": "tridiagonal", "size": 4}
+_SINGLE = {"variant": "single_term", "alpha": 0.5}
+
+#: Malformed configs, each with a fragment of the error message it must give.
+MALFORMED_CONFIGS = {
+    "nan-term-weight": ({"operator": {"variant": "multi_term", "terms": [[_NAN, 0.5]]},
+                         "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "term weights"),
+    "nan-length": ({"operator": _SINGLE, "spatial": {**_TRI, "length": _NAN},
+                    "rho": [1.0] * 4, "T": 1.0}, "length"),
+    "inf-length": ({"operator": _SINGLE, "spatial": {**_TRI, "length": _INF},
+                    "rho": [1.0] * 4, "T": 1.0}, "length"),
+    "nan-power-weight": ({"operator": {"variant": "distributed_order", "weight": "power",
+                                       "weight_params": {"p": _NAN}},
+                          "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "weight"),
+    "nan-rho-entry": ({"operator": _SINGLE, "spatial": _TRI,
+                       "rho": [1.0, _NAN, 1.0, 1.0], "T": 1.0}, "rho"),
+    "nan-scalar-rho": ({"operator": _SINGLE, "spatial": _SCALAR, "rho": _NAN, "T": 1.0},
+                       "rho"),
+    "string-power-param": ({"operator": {"variant": "distributed_order", "weight": "power",
+                                         "weight_params": {"p": "x"}},
+                            "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "malformed config"),
+    "string-alpha": ({"operator": {"variant": "single_term", "alpha": "x"},
+                      "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "malformed config"),
+    "three-entry-term": ({"operator": {"variant": "multi_term", "terms": [[1.0, 0.5, 2.0]]},
+                          "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "malformed config"),
+    "unknown-weight-param": ({"operator": {"variant": "distributed_order",
+                                           "weight": "constant", "weight_params": {"q": 1.0}},
+                              "spatial": _SCALAR, "rho": 1.0, "T": 1.0},
+                             "malformed config"),
+    "nan-dense-matrix": ({"operator": _SINGLE,
+                          "spatial": {"variant": "dense_spd", "matrix": [[1.0, _NAN], [_NAN, 1.0]]},
+                          "rho": [1.0, 1.0], "T": 1.0}, "finite"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_solve_rejects_malformed_config(capsys, tmp_path, case):
+    config, message = MALFORMED_CONFIGS[case]
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["kind"] == "error"
+    assert message in payload["error"]

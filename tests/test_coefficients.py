@@ -125,3 +125,37 @@ def test_invalid_params_rejected():
         FracParams(alpha=0.5, tau=0.0)
     with pytest.raises(ParameterDomainError):
         bdf_l_coefficients(2, 0.5, -1)
+
+
+def _reference_l_coefficients(k, alpha, J):
+    """The scalar-indexed recurrence loop, kept as the bitwise reference."""
+    from fracbdf.coefficients import _LEADING, _RECURRENCE, _START
+    l0 = float(_LEADING[k]) ** alpha
+    l = np.empty(J + 1)
+    l[0] = l0
+    for i, poly in enumerate(_START[k], start=1):
+        if i > J:
+            break
+        acc = 0.0
+        for c in reversed(poly):        # Horner in alpha, constant term 0
+            acc = (acc + float(c)) * alpha
+        l[i] = l0 * acc
+    factors = [float(f) for f in _RECURRENCE[k]]
+    ap1 = alpha + 1.0
+    for j in range(k, J + 1):
+        acc = 0.0
+        sign = 1.0
+        for m, f in enumerate(factors, start=1):
+            acc += f * sign * (1.0 - m * ap1 / j) * l[j - m]
+            sign = -sign
+        l[j] = acc
+    return l
+
+
+@pytest.mark.parametrize("alpha", (0.1, 0.5, 0.93, 1.0))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_recurrence_bitwise_equals_reference_loop(k, alpha):
+    for J in sorted({0, 1, k - 1, k, 513, 4097}):
+        new = bdf_l_coefficients(k, alpha, J)
+        assert new.shape == (J + 1,) and new.dtype == np.float64
+        assert np.array_equal(new, _reference_l_coefficients(k, alpha, J))

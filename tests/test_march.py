@@ -2,17 +2,22 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracbdf
 from fracbdf import (DenseSPDOperator, DistributedOrder, FractionalOperatorSpec,
                      MultiTerm, ParameterDomainError, QuadratureRule, ScalarOperator,
                      SingleTerm, SubdiffusionProblem, TridiagonalLaplacian,
-                     apply_history, correction_weights, discretize, stability_experiment,
-                     step_solve)
+                     apply_history, correction_weights, discretize, scalar_problem,
+                     stability_experiment, step_solve)
 
 
 def reference_march(problem, k, N, corrected=True):
@@ -189,3 +194,78 @@ def test_batched_perturbations_match_single_solves(spatial, time, k):
                                                  rel=1e-12, abs=0.0)
         assert rec.ratios_lin[b] == pytest.approx(tau * np.sum(norms) / (problem.T * e0),
                                                   rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# strong tempering: the march runs in the untempered frame
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("corrected", (True, False))
+@pytest.mark.parametrize("time", ("single", "multi"))
+@pytest.mark.parametrize("k", (1, 3, 5, 6))
+@pytest.mark.parametrize("sigma", (40.0, 200.0))
+def test_large_sigma_matches_reference(sigma, k, time, corrected):
+    """sigma*T up to 200: u^n spans 87 decades, and every step keeps its
+    relative accuracy.
+
+    Two data: the lowest Dirichlet mode, where each step's error is taken
+    relative to |u^n|, and a datum with all modes, where u^n is ~1e-4 of
+    e^(-sigma n tau) |rho| at late steps (u^n = e^(-sigma n tau) rho + w^n
+    cancels, in the reference as well), so the error is taken relative to
+    that size of the step's terms.
+    """
+    spec = dataclasses.replace(TIME[time], sigma=sigma)
+    A = TridiagonalLaplacian(64)
+    N = 300
+    for rho, smooth in ((np.sin(math.pi * A.grid()), True),
+                        (np.cos(np.arange(1, 65)), False)):
+        prob = SubdiffusionProblem(A=A, rho=rho, T=1.0, time_op=spec)
+        res = step_solve(prob, k, N, corrected=corrected)
+        u_ref, residuals_ref = reference_march(prob, k, N, corrected=corrected)
+        err = np.linalg.norm(res.u - u_ref, axis=1)
+        if smooth:
+            scale = np.linalg.norm(u_ref, axis=1)
+        else:
+            scale = np.exp(-sigma * res.times) * np.linalg.norm(rho)
+        assert np.all(scale > 0.0)
+        assert np.max(err / scale) <= 1e-11
+        assert np.max(res.residuals) <= 1e-12
+        assert np.max(residuals_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("corrected", (True, False))
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("lam,alpha", ((0.5, 0.3), (2.3, 0.6), (50.0, 0.9)))
+def test_tempering_equivariance(lam, alpha, k, corrected):
+    """The scheme is exactly tempering-equivariant: the run with sigma is
+    e^(-sigma n tau) times the run with sigma = 0, to rounding.
+
+    The error of step n is taken relative to e^(-sigma n tau) |rho|, the
+    size of the two terms of u^n = e^(-sigma n tau) rho + w^n: at lam = 50
+    the scheme oscillates and u^n crosses zero, where the sum cancels.
+    """
+    N, rho = 64, 1.0
+    base = step_solve(scalar_problem(lam, alpha, 0.0, rho), k, N,
+                      corrected=corrected).u[:, 0]
+    for sigma in (1.0, 7.5, 120.0):
+        u = step_solve(scalar_problem(lam, alpha, sigma, rho), k, N,
+                       corrected=corrected).u[:, 0]
+        decay = np.exp(-sigma * np.arange(N + 1) / N)
+        assert np.all(np.abs(u - decay * base) <= 1e-13 * decay * abs(rho))
+
+
+def test_march_imports_no_optional_modules():
+    """A solve needs neither scipy.integrate (Mittag-Leffler quadrature)
+    nor mpmath (extended precision), and nothing imports scipy.signal."""
+    code = ("import sys, numpy as np, fracbdf as f\n"
+            "spec = f.FractionalOperatorSpec(f.SingleTerm(0.5), sigma=0.3)\n"
+            "f.step_solve(f.SubdiffusionProblem(f.TridiagonalLaplacian(8), np.ones(8),"
+            " 1.0, spec), 3, 16)\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'mpmath')"
+            " if m in sys.modules))\n")
+    src = str(Path(fracbdf.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
