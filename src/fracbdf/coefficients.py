@@ -221,11 +221,18 @@ def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:
 
 def bdf_g_coefficients(k: int, params: FracParams, J: int) -> CoefficientTable:
     """Build the tempered table g_j = e^(-sigma*j*tau) * l_j."""
-    l = bdf_l_coefficients(k, params.alpha, J)
+    return tempered_table(k, params, bdf_l_coefficients(k, params.alpha, J))
+
+
+def tempered_table(k: int, params: FracParams, l: np.ndarray) -> CoefficientTable:
+    """The table of the untempered weights ``l`` of order (k, params.alpha),
+    with g_j = e^(-sigma*j*tau) * l_j; ``l`` is made read-only.  The l of
+    a shorter build is bitwise a prefix of a longer one, so a slice of a
+    longer l gives the shorter build's table."""
     if params.sigma == 0.0:
         g = l.copy()
     else:
-        g = l * params.damping ** np.arange(J + 1)
+        g = l * params.damping ** np.arange(len(l))
     l.setflags(write=False)
     g.setflags(write=False)
     return CoefficientTable(k=check_order(k), params=params, l=l, g=g)

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import functools
+from numbers import Integral
 
 
 class ParameterDomainError(ValueError):
@@ -33,3 +34,11 @@ def parses_config(parse):
         except (ValueError, TypeError, KeyError) as exc:
             raise ParameterDomainError(f"malformed config: {exc!s}") from exc
     return wrapper
+
+
+def config_int(value, name: str) -> int:
+    """A count read from a config: an integer, not a bool, a float (2.7
+    would be truncated) or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -22,7 +22,19 @@ quotient or rescale rounds once toward -infinity.
 * The step equation is divided by tau^(-alpha), so only mu = lam tau^alpha
   enters, and rho is factored out by linearity, so the marched v = w / rho
   is O(1) and the fixed-point scale fits every grid.
-* The history of each step is one exact integer dot product.
+* The histories H_n = sum_{j>=1} g_j v_(n-j) are formed by divide and
+  conquer over the steps, the form of the fast Toeplitz solve of Hairer,
+  Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 1985): solve the left
+  half of a block of steps, add its contribution to the histories of the
+  right half, then solve the right half.  Blocks of at most ``_LEAF``
+  steps sum their own terms directly.  The contribution of a left half is
+  one big-integer product by Kronecker substitution: the half's v and the
+  weights are packed into signed W-bit slots of two integers, with W
+  taken at each node from the bit lengths of the actual operands so that
+  no slot can overflow.  Every H_n is therefore the same exact integer as
+  a step-by-step dot product gives, and every v_n is bitwise the same.
+  With CPython's Karatsuba multiplication M(N) the march costs
+  O(M(N) log N) instead of the N^2/2 products of the step-by-step sums.
 
 mpmath supplies only the transcendental scalars p_0^alpha, e^(-sigma tau),
 tau^alpha and the Mittag-Leffler reference value.  Only the scalar
@@ -42,6 +54,9 @@ from .solver import correction_weights
 
 #: Guard bits carried beyond the requested resolution.
 _GUARD = 32
+
+#: Largest block of steps whose histories are summed term by term.
+_LEAF = 16
 
 
 def fixed_bits(dps: int) -> int:
@@ -98,6 +113,40 @@ def mittag_leffler_mp(alpha, z) -> mpf:
         f"series did not converge at alpha={alpha}, z={z} with dps={mp.dps}")
 
 
+def _pack(xs: list, B: int) -> int:
+    """sum_i xs[i] 2^(8 B i) for integers |xs[i]| < 2^(8 B - 1): each slot
+    holds the two's-complement bytes of xs[i], and the borrow that a
+    negative entry takes from the slot above is subtracted as one packed
+    vector."""
+    mask = (1 << 8 * B) - 1
+    raw = b"".join([(x & mask).to_bytes(B, "little") for x in xs])
+    borrow = bytearray(len(raw) + B)
+    for i, x in enumerate(xs, start=1):
+        if x < 0:
+            borrow[i * B] = 1
+    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+
+
+def _product_slots(a: list, b: list, first: int, stop: int) -> list:
+    """Coefficients first..stop-1 of the polynomial product of a and b.
+
+    Kronecker substitution: both factors are packed into W-bit slots and
+    multiplied as two integers.  W is a multiple of 8 with 2^(W-1) above
+    every |coefficient| <= len * max|a| * max|b|, so the slots of the
+    product do not overlap once each is offset by 2^(W-1), and they are
+    read back as byte slices.
+    """
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + max(len(a), len(b)).bit_length() + 2)
+    B = -(-bits // 8)
+    slots = len(a) + len(b) - 1
+    offset = int.from_bytes((bytes(B - 1) + b"\x80") * slots, "little")
+    raw = (_pack(a, B) * _pack(b, B) + offset).to_bytes(slots * B, "little")
+    half = 1 << (8 * B - 1)
+    return [int.from_bytes(raw[s * B:(s + 1) * B], "little") - half
+            for s in range(first, stop)]
+
+
 def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
                  T: float, N: int, corrected: bool, P: int) -> int:
     """Fixed-point u^N / rho from fixed-point weights l_0..l_(>=N)."""
@@ -116,9 +165,25 @@ def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
             d[n] = d[n] * (a.numerator + a.denominator) // a.denominator
     shift = g[0] + mu
     v = [0] * (N + 1)
-    for n in range(1, N + 1):
-        hist = sum(map(int.__mul__, g[1:n + 1], reversed(v[:n]))) >> P
-        v[n] = ((-(d[n] * mu >> P) - hist) << P) // shift
+    H = [0] * (N + 1)                  # histories, accumulated block by block
+
+    def solve(lo: int, hi: int) -> None:
+        """v[lo:hi], given H[lo:hi] with every term from v[:lo] added."""
+        if hi - lo <= _LEAF:
+            for n in range(lo, hi):
+                hist = H[n] + sum(map(int.__mul__, g[1:n - lo + 1], reversed(v[lo:n])))
+                v[n] = ((-(d[n] * mu >> P) - (hist >> P)) << P) // shift
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        # H[n] += sum_{m=lo}^{mid-1} g_(n-m) v_m for n in [mid, hi): slots
+        # mid-lo-1 .. hi-lo-2 of the product of v[lo:mid] and g[1:hi-lo].
+        for n, h in zip(range(mid, hi), _product_slots(v[lo:mid], g[1:hi - lo],
+                                                       mid - lo - 1, hi - lo - 1)):
+            H[n] += h
+        solve(mid, hi)
+
+    solve(1, N + 1)
     return v[N] + decay[N]
 
 

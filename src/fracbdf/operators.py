@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientTable, FracParams, bdf_g_coefficients, check_order
-from .errors import ParameterDomainError, parses_config
+from .errors import ParameterDomainError, config_int, parses_config
 
 
 @dataclass(frozen=True)
@@ -165,20 +165,14 @@ class DiscreteTimeOperator:
         return float(self.weights[0])
 
 
-def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
-               N: int) -> DiscreteTimeOperator:
-    """Assemble weight tables covering j = 0..N for every participating order."""
-    check_order(k)
-    if tau <= 0.0:
-        raise ParameterDomainError(f"tau must be > 0, got {tau!r}")
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
+def _order_pairs(spec: FractionalOperatorSpec) -> list[tuple[float, float]]:
+    """(b_i, alpha_i) of every order that takes part in ``spec``."""
     v = spec.variant
     if isinstance(v, SingleTerm):
-        pairs = [(1.0, v.alpha)]
-    elif isinstance(v, MultiTerm):
-        pairs = [(b, alpha) for b, alpha in v.terms]
-    elif isinstance(v, DistributedOrder):
+        return [(1.0, v.alpha)]
+    if isinstance(v, MultiTerm):
+        return [(b, alpha) for b, alpha in v.terms]
+    if isinstance(v, DistributedOrder):
         pairs = []
         for a, wq in zip(v.quadrature.nodes, v.quadrature.weights):
             mu = float(v.weight(a))
@@ -190,16 +184,50 @@ def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
                 pairs.append((wq * mu, a))
         if not pairs:
             raise ParameterDomainError("distributed-order weight vanishes at all nodes")
-    else:
-        raise ParameterDomainError(f"unknown operator variant: {v!r}")
+        return pairs
+    raise ParameterDomainError(f"unknown operator variant: {v!r}")
+
+
+def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
+               N: int) -> DiscreteTimeOperator:
+    """Assemble weight tables covering j = 0..N for every participating order."""
+    check_order(k)
+    if tau <= 0.0:
+        raise ParameterDomainError(f"tau must be > 0, got {tau!r}")
+    if N < 1:
+        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
     scales = []
     tables = []
-    for b, alpha in pairs:
+    for b, alpha in _order_pairs(spec):
         params = FracParams(alpha=alpha, sigma=spec.sigma, tau=tau)
         scales.append(b * tau ** (-alpha))
         tables.append(bdf_g_coefficients(k, params, N))
     return DiscreteTimeOperator(k=k, tau=tau, sigma=spec.sigma,
                                 scales=tuple(scales), tables=tuple(tables))
+
+
+def check_operator(op: DiscreteTimeOperator, spec: FractionalOperatorSpec,
+                   k: int, tau: float, N: int) -> None:
+    """Raise ParameterDomainError unless ``op`` is what ``discretize(spec,
+    k, tau, N)`` assembles, up to tables longer than N + 1: the same k,
+    tau and sigma and, table by table, the same order alpha_i and scale
+    b_i * tau^(-alpha_i) (to 1e-12 relative)."""
+    if op.k != k or abs(op.tau - tau) > 1e-15 * tau:
+        raise ParameterDomainError("supplied operator does not match (k, tau)")
+    if op.sigma != spec.sigma:
+        raise ParameterDomainError(
+            f"supplied operator has sigma = {op.sigma!r}, problem has {spec.sigma!r}")
+    want = [(b * tau ** (-alpha), alpha) for b, alpha in _order_pairs(spec)]
+    have = [(s, t.params.alpha) for s, t in zip(op.scales, op.tables)]
+    if len(have) != len(want) or any(
+            a != alpha or not math.isclose(s, scale, rel_tol=1e-12)
+            for (s, a), (scale, alpha) in zip(have, want)):
+        raise ParameterDomainError(
+            f"supplied operator has (scale, alpha) = {have}, "
+            f"the problem's spec gives {want}")
+    if len(op.untempered_weights) < N + 1:
+        raise ParameterDomainError(
+            f"supplied operator covers {len(op.untempered_weights) - 1} steps, need N = {N}")
 
 
 def apply_history(op: DiscreteTimeOperator, history, n: int):
@@ -261,6 +289,6 @@ def operator_spec_from_dict(d: dict) -> FractionalOperatorSpec:
             f"unknown weight function {name!r}; known: "
             f"{sorted(WEIGHT_FUNCTIONS) + ['dirac_comb']}")
     weight = WEIGHT_FUNCTIONS[name](**params)
-    rule = QuadratureRule.gauss_legendre(int(d.get("nodes", 16)))
+    rule = QuadratureRule.gauss_legendre(config_int(d.get("nodes", 16), "nodes"))
     return FractionalOperatorSpec(DistributedOrder(weight=weight, quadrature=rule),
                                   sigma=sigma)

@@ -69,10 +69,11 @@ import numpy as np
 from scipy.fft import dst, irfft, next_fast_len, rfft
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
-from .coefficients import check_alpha, check_order
-from .errors import ParameterDomainError, parses_config
+from .coefficients import (FracParams, bdf_l_coefficients, check_alpha, check_order,
+                           tempered_table)
+from .errors import ParameterDomainError, config_int, parses_config
 from .operators import (DiscreteTimeOperator, FractionalOperatorSpec, SingleTerm,
-                        discretize, operator_spec_from_dict)
+                        check_operator, discretize, operator_spec_from_dict)
 from .special import exact_scalar_solution
 
 #: Starting corrections a_1..a_{k-1}, exact rationals.
@@ -325,7 +326,8 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
     solve (module docstring), then evaluates every step's residual.  An
     already assembled ``op`` may be passed to amortize weight generation
     across repeated solves with identical (k, tau, spec); it must match k,
-    tau and sigma and cover at least N steps.
+    tau, sigma and the problem's orders and scales b_i * tau^(-alpha_i),
+    and cover at least N steps (:func:`~fracbdf.operators.check_operator`).
     """
     tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected, op)
     w, residuals = w[:, 0], residuals[:, 0]
@@ -354,14 +356,8 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     tau = problem.T / N
     if op is None:
         op = discretize(problem.time_op, k, tau, N)
-    elif op.k != k or abs(op.tau - tau) > 1e-15 * tau:
-        raise ParameterDomainError("supplied operator does not match (k, tau)")
-    elif op.sigma != problem.sigma:
-        raise ParameterDomainError(
-            f"supplied operator has sigma = {op.sigma!r}, problem has {problem.sigma!r}")
-    elif len(op.untempered_weights) < N + 1:
-        raise ParameterDomainError(
-            f"supplied operator covers {len(op.untempered_weights) - 1} steps, need N = {N}")
+    else:
+        check_operator(op, problem.time_op, k, tau, N)
     S = op.untempered_weights[:N + 1]
     if S[0] <= 0.0:
         raise ParameterDomainError(f"zero weight must be > 0, got {S[0]!r}")
@@ -489,7 +485,8 @@ def spatial_from_dict(d: dict):
     if variant == "scalar":
         return ScalarOperator(float(d["value"]))
     if variant == "tridiagonal":
-        return TridiagonalLaplacian(int(d["size"]), float(d.get("length", 1.0)))
+        return TridiagonalLaplacian(config_int(d["size"], "size"),
+                                    float(d.get("length", 1.0)))
     return DenseSPDOperator(np.asarray(d["matrix"], dtype=float))
 
 
@@ -577,9 +574,18 @@ def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ParameterDomainError("N_list must be strictly increasing, length >= 2")
     if precision is None:
+        # The l_j do not depend on N: one build at the finest grid, whose
+        # prefixes equal the per-N builds bitwise, tempered and scaled per N.
         exact = exact_scalar_solution(lam, alpha, sigma, rho, T)
-        errors = [abs(float(step_solve(problem, k, N, corrected=corrected).terminal[0])
-                      - exact) for N in N_list]
+        l = bdf_l_coefficients(k, alpha, N_list[-1])
+        errors = []
+        for N in N_list:
+            tau = problem.T / N
+            table = tempered_table(k, FracParams(alpha, problem.sigma, tau), l[:N + 1])
+            op = DiscreteTimeOperator(k=k, tau=tau, sigma=problem.sigma,
+                                      scales=(tau ** (-alpha),), tables=(table,))
+            u = step_solve(problem, k, N, corrected=corrected, op=op).terminal[0]
+            errors.append(abs(float(u) - exact))
     else:
         from .highprec import terminal_errors_mp
         errors = terminal_errors_mp(k, alpha, sigma, lam, rho, T, N_list,

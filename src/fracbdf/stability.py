@@ -33,6 +33,7 @@ random-sequence quadratic forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -359,6 +360,23 @@ def _factored_angles(k: int, x: np.ndarray, damp: float):
     return theta1, theta2, recip
 
 
+@functools.lru_cache(maxsize=3)
+def _sweep_angles(k: int, damp: float, grid_size: int):
+    """Grid x of :func:`argument_sweep` and its factored angles at
+    z = damp * e^(ix), as read-only arrays (x, theta1, theta2, recip).
+
+    None of them depends on alpha, so one evaluation serves every alpha
+    at the same (k, sigma*tau, grid_size).  The bound of three entries
+    covers the three sigma*tau values that the argument-sweep check cycles
+    through for each k; each entry holds at most six grid-sized arrays.
+    """
+    x = np.linspace(math.pi / grid_size, math.pi, grid_size)
+    theta1, theta2, recip = _factored_angles(k, x, damp)
+    for a in (x, theta1, theta2) + recip:
+        a.setflags(write=False)
+    return x, theta1, theta2, recip
+
+
 @dataclass(frozen=True)
 class ArgumentSweep:
     """Argument of q(e^(ix)) traced over a grid in (0, pi]."""
@@ -389,14 +407,16 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
     the argument is undefined there; the one-sided limit -alpha*pi/2 is
     recorded separately.  Any residual jump above pi/2 between adjacent
     grid points raises GridTooCoarseError.
+
+    The grid and the component angles do not depend on alpha; they are
+    computed once per (k, sigma*tau, grid_size) and shared, read-only,
+    by the sweeps of every alpha (:func:`_sweep_angles`).
     """
     _check_multiplier_order(k)
     check_alpha(alpha)
     if grid_size < 16:
         raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
-    damp = math.exp(-sigma * tau)
-    x = np.linspace(math.pi / grid_size, math.pi, grid_size)
-    theta1, theta2, recip = _factored_angles(k, x, damp)
+    x, theta1, theta2, recip = _sweep_angles(k, math.exp(-sigma * tau), grid_size)
     arg = alpha * theta1 + alpha * theta2 + sum(recip)
     jump = float(np.max(np.abs(np.diff(arg)))) if grid_size > 1 else 0.0
     if jump > math.pi / 2.0:
@@ -404,9 +424,7 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
             f"argument jump {jump:.3f} > pi/2 between grid points "
             f"(k={k}, alpha={alpha}, grid_size={grid_size})")
     limit = -alpha * math.pi / 2.0 if sigma * tau == 0.0 else 0.0
-    for a in (theta1, theta2, arg) + recip:
-        a.setflags(write=False)
-    x.setflags(write=False)
+    arg.setflags(write=False)
     return ArgumentSweep(k=k, alpha=alpha, sigma=sigma, tau=tau, grid=x,
                          arg_values=arg, theta1=theta1, theta2=theta2,
                          reciprocal_angles=recip,

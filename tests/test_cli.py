@@ -235,3 +235,40 @@ def test_solve_rejects_malformed_config(capsys, tmp_path, case):
     payload = json.loads(captured.err)
     assert payload["kind"] == "error"
     assert message in payload["error"]
+
+
+#: Counts that are not integers: before, int() truncated 2.7 to 2 and ran.
+NON_INTEGER_COUNTS = {
+    "float-size": ({"variant": "tridiagonal", "size": 2.7}, _SINGLE, "size"),
+    "bool-size": ({"variant": "tridiagonal", "size": True}, _SINGLE, "size"),
+    "string-size": ({"variant": "tridiagonal", "size": "64"}, _SINGLE, "size"),
+    "float-nodes": (_SCALAR, {"variant": "distributed_order", "nodes": 3.9}, "nodes"),
+    "bool-nodes": (_SCALAR, {"variant": "distributed_order", "nodes": True}, "nodes"),
+    "string-nodes": (_SCALAR, {"variant": "distributed_order", "nodes": "16"}, "nodes"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
+def test_solve_rejects_non_integer_counts(capsys, tmp_path, case):
+    spatial, operator, message = NON_INTEGER_COUNTS[case]
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps({"operator": operator, "spatial": spatial,
+                               "rho": 1.0, "T": 1.0}))
+    code = main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["kind"] == "error"
+    assert message in payload["error"]
+
+
+def test_solve_accepts_integer_counts(capsys, tmp_path):
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps({
+        "operator": {"variant": "distributed_order", "nodes": 3},
+        "spatial": {"variant": "tridiagonal", "size": 3}, "rho": [1.0, 2.0, 1.0],
+        "T": 1.0}))
+    code = main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"])
+    assert code == 0
+    assert capsys.readouterr().out

@@ -105,6 +105,33 @@ def test_supplied_operator_sigma_must_match():
         step_solve(prob, 3, 16, op=op)
 
 
+_SPEC_MISMATCHES = {
+    "single-alpha": (SingleTerm(0.3), SingleTerm(0.8)),
+    "multi-weight": (MultiTerm(((2.0, 0.8), (1.0, 0.3))), MultiTerm(((2.5, 0.8), (1.0, 0.3)))),
+    "multi-alpha": (MultiTerm(((2.0, 0.8), (1.0, 0.3))), MultiTerm(((2.0, 0.8), (1.0, 0.4)))),
+    "term-count": (MultiTerm(((2.0, 0.8), (1.0, 0.3))), MultiTerm(((2.0, 0.8),))),
+    "distributed-weight": (
+        DistributedOrder(weight=lambda a: 1.0, quadrature=QuadratureRule.gauss_legendre(4)),
+        DistributedOrder(weight=lambda a: 2.0, quadrature=QuadratureRule.gauss_legendre(4))),
+}
+
+
+@pytest.mark.parametrize("T", (1.0, 16.0))     # at tau = 1 every scale is b_i
+@pytest.mark.parametrize("case", _SPEC_MISMATCHES)
+def test_supplied_operator_spec_must_match(case, T):
+    # an op assembled for another order or weight would march another
+    # equation; before this check an alpha = 0.8 op on an alpha = 0.3
+    # problem returned 0.387 instead of 0.457
+    problem_variant, op_variant = _SPEC_MISMATCHES[case]
+    prob = SubdiffusionProblem(A=ScalarOperator(1.0), rho=np.array([1.0]), T=T,
+                               time_op=FractionalOperatorSpec(problem_variant))
+    op = discretize(FractionalOperatorSpec(op_variant), 3, prob.T / 16, 16)
+    with pytest.raises(ParameterDomainError, match="spec"):
+        step_solve(prob, 3, 16, op=op)
+    own = discretize(prob.time_op, 3, prob.T / 16, 16)
+    assert np.array_equal(step_solve(prob, 3, 16, op=own).u, step_solve(prob, 3, 16).u)
+
+
 def test_supplied_operator_must_cover_all_steps():
     prob = _problem("tridiagonal", "single")
     op = discretize(prob.time_op, 3, prob.T / 16, 8)

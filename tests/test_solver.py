@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from fracbdf import (DenseSPDOperator, FractionalOperatorSpec, ParameterDomainEr
                      ScalarOperator, SingleTerm, SubdiffusionProblem,
                      TridiagonalLaplacian, convergence_harness, correction_weights,
                      exact_scalar_solution, problem_from_dict, scalar_problem,
-                     stability_experiment, stability_refinement, step_solve)
+                     stability_experiment, stability_refinement, step_solve,
+                     verification)
 
 
 def test_correction_tables_exact():
@@ -178,6 +181,28 @@ def test_convergence_orders_fast(k):
     assert rep.observed_order == pytest.approx(k, abs=0.35)
     rep_un = convergence_harness(k, 0.5, 0.0, 1.0, (32, 64, 128), corrected=False)
     assert rep_un.observed_order == pytest.approx(1.0, abs=0.3)
+
+
+@pytest.mark.parametrize("k, sigma, corrected", [(1, 0.0, True), (3, 1.0, True),
+                                                  (4, 0.5, False), (6, 2.0, True)])
+def test_harness_weights_per_path_match_fresh_solves(k, sigma, corrected):
+    # one weight build per refinement path gives the errors of one fresh
+    # discretize per grid, bitwise
+    N_list = (16, 40, 96)
+    rep = convergence_harness(k, 0.4, sigma, 3.0, N_list, corrected=corrected, T=1.5)
+    prob = scalar_problem(3.0, 0.4, sigma, T=1.5)
+    exact = exact_scalar_solution(3.0, 0.4, sigma, 1.0, 1.5)
+    assert rep.errors == tuple(
+        abs(float(step_solve(prob, k, N, corrected=corrected).terminal[0]) - exact)
+        for N in N_list)
+
+
+def test_convergence_orders_are_pinned():
+    # the 66 observed orders of the verify-paper check, stored from the
+    # step-by-step twin history and per-grid weight builds
+    with open(Path(__file__).parent / "data" / "convergence_orders.json") as fh:
+        stored = json.load(fh)
+    assert verification.check_convergence_orders().details["orders"] == stored
 
 
 def test_k1_has_no_correction_to_toggle():

@@ -13,7 +13,8 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      q_coefficients, quadrature_positivity_check,
                      stability_report, toeplitz_band, toeplitz_eigencheck,
                      trig_max, trig_min)
-from fracbdf.stability import _RECIPROCAL_FACTORS, _RESIDUAL
+from fracbdf.stability import (_RECIPROCAL_FACTORS, _RESIDUAL, _factored_angles,
+                               _sweep_angles)
 
 HALF_PI = math.pi / 2.0
 
@@ -201,6 +202,35 @@ def test_sweep_component_count():
     assert len(argument_sweep(3, 0.5, grid_size=1024).reciprocal_angles) == 1
     assert len(argument_sweep(5, 0.5, grid_size=1024).reciprocal_angles) == 1
     assert len(argument_sweep(6, 0.5, grid_size=1024).reciprocal_angles) == 3
+
+
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+@pytest.mark.parametrize("st", (0.0, 0.05, 0.5))
+def test_shared_sweep_angles_equal_a_fresh_evaluation(k, st):
+    x = np.linspace(math.pi / 1024, math.pi, 1024)
+    theta1, theta2, recip = _factored_angles(k, x, math.exp(-st))
+    for alpha in (0.3, 0.7, 0.3):
+        sweep = argument_sweep(k, alpha, sigma=st, tau=1.0, grid_size=1024)
+        assert np.array_equal(sweep.grid, x)
+        assert np.array_equal(sweep.theta1, theta1)
+        assert np.array_equal(sweep.theta2, theta2)
+        assert len(sweep.reciprocal_angles) == len(recip)
+        for got, want in zip(sweep.reciprocal_angles, recip):
+            assert np.array_equal(got, want)
+        arg = alpha * theta1 + alpha * theta2 + sum(recip)
+        assert np.array_equal(sweep.arg_values, arg)
+        for a in (sweep.grid, sweep.arg_values, sweep.theta1, sweep.theta2,
+                  *sweep.reciprocal_angles):
+            assert not a.flags.writeable
+
+
+def test_sweep_angle_memo_stays_bounded():
+    bound = _sweep_angles.cache_info().maxsize
+    assert bound >= 3                  # the three sigma*tau of the sweep check
+    for k in (3, 4, 5, 6):
+        for st in np.linspace(0.0, 1.0, 7):
+            argument_sweep(k, 0.5, sigma=float(st), grid_size=64)
+    assert _sweep_angles.cache_info().currsize == bound
 
 
 def test_sweep_rejects_bad_inputs():
