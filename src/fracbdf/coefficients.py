@@ -110,6 +110,14 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def check_sigma_tau(sigma: float, tau: float) -> None:
+    """Validate a tempering rate (finite, >= 0) and a step size (finite, > 0)."""
+    if not 0.0 <= sigma < math.inf:
+        raise ParameterDomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if not 0.0 < tau < math.inf:
+        raise ParameterDomainError(f"tau must be finite and > 0, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Fractional exponent alpha, tempering rate sigma and step size tau."""
@@ -120,10 +128,7 @@ class FracParams:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if not 0.0 <= self.sigma < math.inf:
-            raise ParameterDomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        if not 0.0 < self.tau < math.inf:
-            raise ParameterDomainError(f"tau must be finite and > 0, got {self.tau!r}")
+        check_sigma_tau(self.sigma, self.tau)
 
     @property
     def damping(self) -> float:
@@ -208,15 +213,14 @@ def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:
     if J < 0:
         raise ParameterDomainError(f"J must be >= 0, got {J!r}")
     p = [float(c) for c in bdf_polynomial(k)]
-    l = np.empty(J + 1)
-    l[0] = p[0] ** alpha
+    l = [p[0] ** alpha]
     ap1 = alpha + 1.0
     for j in range(1, J + 1):
         acc = 0.0
         for m in range(1, min(j, k) + 1):
             acc += p[m] * (ap1 * m - j) * l[j - m]
-        l[j] = acc / (j * p[0])
-    return l
+        l.append(acc / (j * p[0]))
+    return np.array(l)
 
 
 def bdf_g_coefficients(k: int, params: FracParams, J: int) -> CoefficientTable:

@@ -79,16 +79,23 @@ def multiplier_set(k: int) -> MultiplierSet:
     return MultiplierSet(k=k, mu=_MULTIPLIERS[k])
 
 
+def _closed_form_ratio(k: int, m: int) -> tuple[int, int]:
+    """Untempered reciprocal coefficient c_m for k in {3,...,6} as an
+    integer numerator and denominator (not reduced)."""
+    if k in (3, 4):
+        return 1, 2 ** m
+    if k == 5:
+        return m + 1, 2 ** m
+    if k == 6:
+        if m == 0:
+            return 1, 1
+        return 243 * 18 ** (m - 1) - 15 ** (m + 1) + 25 * 10 ** (m - 1), 30 ** m
+    raise ParameterDomainError(f"no closed-form reciprocal for k={k}")
+
+
 def _closed_form_reciprocal(k: int, m: int) -> Fraction:
     """Exact untempered reciprocal coefficient c_m for k in {3,...,6}."""
-    if k in (3, 4):
-        return Fraction(1, 2) ** m
-    if k == 5:
-        return Fraction(m + 1, 2 ** m)
-    if k == 6:
-        num = 243 * Fraction(18) ** (m - 1) - 15 ** (m + 1) + 25 * Fraction(10) ** (m - 1)
-        return num / Fraction(30) ** m
-    raise ParameterDomainError(f"no closed-form reciprocal for k={k}")
+    return Fraction(*_closed_form_ratio(k, m))
 
 
 @dataclass(frozen=True)
@@ -118,22 +125,23 @@ def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
     mults = multiplier_set(k)
     damp = params.damping
     mu_w = [float(m) * damp ** j for j, m in enumerate(mults.mu, start=1)]
-    c = np.zeros(J + 1)
-    c[0] = 1.0
+    c = [1.0]
     for m in range(1, J + 1):
         acc = 0.0
         for j, mw in enumerate(mu_w, start=1):
             if j > m:
                 break
             acc += mw * c[m - j]
-        c[m] = acc
+        c.append(acc)
     if mults.mu:
         for m in range(J + 1):
-            ref = float(_closed_form_reciprocal(k, m)) * damp ** m
+            num, den = _closed_form_ratio(k, m)
+            ref = num / den * damp ** m         # int / int is correctly rounded
             if abs(c[m] - ref) > _DIVISION_CHECK_RTOL * max(1.0, abs(ref)):
                 raise InternalConsistencyError(
                     f"reciprocal series mismatch at k={k}, m={m}: "
                     f"division {c[m]!r} vs closed form {ref!r}")
+    c = np.array(c)
     c.setflags(write=False)
     return ReciprocalSeries(k=k, params=params, c=c)
 

@@ -27,8 +27,14 @@ scheme:
 
 Everything here is checked two ways where possible: closed-form extremum
 locations against dense-grid searches, Toeplitz eigenvalues against the
-generating-function sandwich, and the argument bound against direct
-random-sequence quadratic forms.
+generating-function sandwich, and the argument bound against the exact
+minimum of the convolution quadratic form.
+
+The quadratic forms are certified exactly, not sampled: the minimum of
+sum_n <w^n, sum_j t_j w^(n-j)> over unit-norm sequences of length N is the
+smallest eigenvalue of the symmetric Toeplitz section (t_0, t_1/2, ...).
+One kernel, :func:`_section_extremes`, serves the eigenvalue sandwich, the
+energy inequality and the q quadratic form.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eig_banded, eigh, eigvals_banded, eigvalsh, toeplitz
 
-from .coefficients import check_alpha, check_order
+from .coefficients import check_alpha, check_order, check_sigma_tau
 from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
 from .multipliers import QTable, multiplier_set
 
@@ -109,6 +116,7 @@ def positivity_generating_function(k: int, sigma: float = 0.0,
     diagonal d_k = 1 - c_k.
     """
     _check_multiplier_order(k)
+    check_sigma_tau(sigma, tau)
     damp = math.exp(-sigma * tau)
     mu = multiplier_set(k).mu_float
     coeffs = [float(_BAND_DIAGONAL[k])]
@@ -163,26 +171,58 @@ def trig_max(f: TrigPolynomial, grid_size: int = 4096,
     return x, -v
 
 
+def _check_counts(**counts: int) -> None:
+    for name, n in counts.items():
+        if n < 1:
+            raise ParameterDomainError(f"{name} must be >= 1, got {n!r}")
+
+
 def toeplitz_band(k: int, sigma: float, tau: float, N: int) -> np.ndarray:
     """Lower-triangular band Toeplitz matrix of the multiplier form.
 
     Entry (i, i-j) holds -mu_j e^(-sigma*j*tau) for j = 0..k with the
     convention mu_0 = -(1 - c_k), i.e. the diagonal carries 1 - c_k.
+    (L + L^T)/2 is the plain dense reference for the banded kernel.
     """
-    _check_multiplier_order(k)
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N}")
-    damp = math.exp(-sigma * tau)
-    entries = [float(_BAND_DIAGONAL[k])]
-    entries += [-m * damp ** j
-                for j, m in enumerate(multiplier_set(k).mu_float, start=1)]
-    L = np.zeros((N, N))
-    for j, e in enumerate(entries):
-        if j >= N:
-            break
-        idx = np.arange(j, N)
-        L[idx, idx - j] = e
-    return L
+    entries = positivity_generating_function(k, sigma, tau).coeffs
+    _check_counts(N=N)
+    col = np.zeros(N)
+    col[:len(entries)] = entries[:N]
+    return toeplitz(col, np.zeros(N))
+
+
+def _section_extremes(t, N: int, witness_below: float = -math.inf):
+    """(lambda_min, lambda_max, v) of the form sum_n <w^n, sum_j t_j w^(n-j)>
+    on length-N sequences, i.e. of the symmetric Toeplitz section with first
+    column (t_0, t_1/2, ..., t_(N-1)/2); v is the unit lambda_min
+    eigenvector if lambda_min < ``witness_below``, else None.
+
+    Bandwidth <= 3 (the multiplier bands) is solved in band storage with
+    no N x N matrix; longer columns (q sections) densely.
+    """
+    t = np.asarray(t, dtype=float)[:N]
+    col = np.concatenate((t[:1], t[1:] / 2.0))
+    bw = len(col) - 1
+    if bw <= 3:
+        band = np.zeros((bw + 1, N))
+        for j, c in enumerate(col):
+            band[bw - j, j:] = c
+        lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
+        hi = eigvals_banded(band, select="i", select_range=(N - 1, N - 1))[0]
+        vec = (eig_banded(band, select="i", select_range=(0, 0))[1][:, 0]
+               if lo < witness_below else None)
+    else:
+        H = toeplitz(col)
+        ev = eigvalsh(H)             # both ends in one pass: cheaper than two subsets
+        lo, hi = ev[0], ev[-1]
+        vec = eigh(H, subset_by_index=(0, 0))[1][:, 0] if lo < witness_below else None
+    return float(lo), float(hi), vec
+
+
+@functools.lru_cache(maxsize=8)      # the sandwich check's 4 orders x 2 sigma*tau
+def _symbol_extrema(k: int, sigma: float, tau: float) -> tuple[float, float]:
+    f = positivity_generating_function(k, sigma, tau)
+    return trig_min(f)[1], trig_max(f)[1]
 
 
 @dataclass(frozen=True)
@@ -212,22 +252,18 @@ class ToeplitzEigenCheck:
 def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
                         tol: float = 1e-10) -> ToeplitzEigenCheck:
     """Verify f_min <= lambda_min <= lambda_max <= f_max for the
-    symmetrized band matrix of dimension N.
+    symmetrized band matrix of dimension N (banded, no N x N matrix).
 
     A violation beyond ``tol`` raises InternalConsistencyError: the
     sandwich is a theorem for these matrices (for N <= k it follows by
     Cauchy interlacing with a larger section), so failure means a bug.
     """
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N}")
-    L = toeplitz_band(k, sigma, tau, N)
-    H = (L + L.T) / 2.0
-    ev = np.linalg.eigvalsh(H)
-    f = positivity_generating_function(k, sigma, tau)
-    _, f_min = trig_min(f)
-    _, f_max = trig_max(f)
+    band = positivity_generating_function(k, sigma, tau).coeffs
+    _check_counts(N=N)
+    lam_min, lam_max, _ = _section_extremes(band, N)
+    f_min, f_max = _symbol_extrema(k, sigma, tau)
     result = ToeplitzEigenCheck(k=k, sigma=sigma, tau=tau, N=N,
-                                lambda_min=float(ev[0]), lambda_max=float(ev[-1]),
+                                lambda_min=lam_min, lambda_max=lam_max,
                                 f_min=f_min, f_max=f_max, tol=tol)
     if not result.sandwiched:
         raise InternalConsistencyError(
@@ -239,10 +275,9 @@ def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
 
 @dataclass(frozen=True)
 class EnergyCheck:
-    """Result of the direct multiplier energy inequality evaluation."""
+    """Exact minimum of the multiplier energy inequality's slack."""
 
     k: int
-    trials: int
     min_slack: float
     tol: float
     witness: np.ndarray | None
@@ -255,39 +290,26 @@ class EnergyCheck:
 def multiplier_energy_check(k: int, sigma: float = 0.0, tau: float = 1.0,
                             N: int = 50, trials: int = 1000, seed: int = 0,
                             dim: int = 1, tol: float = 1e-10) -> EnergyCheck:
-    """Evaluate sum_n <w^n, w^n - sum_j mu_j e^(-sigma*j*tau) w^(n-j)>
-    minus c_k sum_n |w^n|^2 for seeded Gaussian sequences.
+    """Exact minimum of sum_n <w^n, w^n - sum_j mu_j e^(-sigma*j*tau) w^(n-j)>
+    minus c_k sum_n |w^n|^2 over all w^1..w^N in R^dim with
+    sum_n |w^n|^2 = N*dim: lambda_min * N * dim of the symmetrized band.
 
-    Entries with index <= 0 are zero.  Returns the worst slack over all
-    trials; a negative slack beyond tolerance would contradict the
-    positive-definiteness certified by the Toeplitz analysis, so the
-    failing sequence is kept as a witness.
+    A negative minimum beyond tol would contradict the Toeplitz analysis;
+    the lambda_min eigenvector, in the first component, is then the
+    witness.  ``trials`` and ``seed`` are accepted and unused.
     """
-    _check_multiplier_order(k)
-    rng = np.random.default_rng(seed)
-    damp = math.exp(-sigma * tau)
-    mu = multiplier_set(k).mu_float
-    ck = float(ENERGY_CONSTANTS[k])
-    W = rng.standard_normal((trials, N, dim))
-    V = W.copy()
-    for j, m in enumerate(mu, start=1):
-        V[:, j:, :] -= m * damp ** j * W[:, :-j, :]
-    lhs = np.einsum("tnd,tnd->t", W, V)
-    rhs = ck * np.einsum("tnd,tnd->t", W, W)
-    slack = lhs - rhs
-    worst = int(np.argmin(slack))
-    min_slack = float(slack[worst])
-    witness = W[worst].copy() if min_slack < -tol else None
-    return EnergyCheck(k=k, trials=trials, min_slack=min_slack, tol=tol,
-                       witness=witness)
+    band = positivity_generating_function(k, sigma, tau).coeffs
+    _check_counts(N=N, dim=dim)
+    lam_min, _, vec = _section_extremes(band, N, witness_below=-tol / (N * dim))
+    witness = None if vec is None else np.outer(vec, np.eye(dim)[0])
+    return EnergyCheck(k=k, min_slack=lam_min * N * dim, tol=tol, witness=witness)
 
 
 @dataclass(frozen=True)
 class QuadraticFormCheck:
-    """Result of the convolution quadratic-form nonnegativity evaluation."""
+    """Exact minimum of the convolution quadratic form."""
 
     k: int
-    trials: int
     min_value: float
     min_scaled: float
     tol: float
@@ -301,30 +323,24 @@ class QuadraticFormCheck:
 def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
                                 seed: int = 0, dim: int = 1,
                                 tol: float = 1e-10) -> QuadraticFormCheck:
-    """Evaluate sum_n (sum_{j<n} q_j v^(n-j), v^n) for seeded Gaussian
-    sequences and check it stays nonnegative up to a scaled tolerance.
+    """Exact minimum of sum_n (sum_{j<n} q_j v^(n-j), v^n) over all
+    v^1..v^N in R^dim, checked nonnegative up to a scaled tolerance.
 
-    This is the discrete consequence of |arg q| <= pi/2 that the solver's
-    energy estimate rests on.
+    ``min_value`` is lambda_min * N * dim (sum_n |v^n|^2 = N*dim) and
+    ``min_scaled`` is lambda_min / sum_j |q_j|; on failure the lambda_min
+    eigenvector, in the first component, is the witness.  This is the
+    discrete consequence of |arg q| <= pi/2 that the solver's energy
+    estimate rests on.  ``trials`` and ``seed`` are accepted and unused.
     """
+    _check_counts(N=N, dim=dim)
     if q.J < N - 1:
         raise ParameterDomainError(f"q covers j <= {q.J}, need j <= {N - 1}")
-    rng = np.random.default_rng(seed)
-    qv = q.q[:N]
-    Q = np.zeros((N, N))
-    for j in range(N):
-        idx = np.arange(j, N)
-        Q[idx, idx - j] = qv[j]
-    V = rng.standard_normal((trials, N, dim))
-    QV = np.einsum("nm,tmd->tnd", Q, V)
-    vals = np.einsum("tnd,tnd->t", QV, V)
-    scale = float(np.abs(qv).sum()) * np.einsum("tnd,tnd->t", V, V)
-    scaled = vals / np.maximum(scale, 1.0)
-    worst = int(np.argmin(scaled))
-    witness = V[worst].copy() if scaled[worst] < -tol else None
-    return QuadraticFormCheck(k=q.k, trials=trials, min_value=float(vals[worst]),
-                              min_scaled=float(scaled[worst]), tol=tol,
-                              witness=witness)
+    scale = float(np.abs(q.q[:N]).sum())
+    lam_min, _, vec = _section_extremes(q.q, N, witness_below=-tol * scale)
+    witness = None if vec is None else np.outer(vec, np.eye(dim)[0])
+    return QuadraticFormCheck(k=q.k, min_value=lam_min * N * dim,
+                              min_scaled=lam_min / scale if scale else 0.0,
+                              tol=tol, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +430,7 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
     """
     _check_multiplier_order(k)
     check_alpha(alpha)
+    check_sigma_tau(sigma, tau)
     if grid_size < 16:
         raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
     x, theta1, theta2, recip = _sweep_angles(k, math.exp(-sigma * tau), grid_size)
@@ -437,6 +454,7 @@ def q_boundary_values(k: int, alpha: float, x: np.ndarray, sigma: float = 0.0,
     """q evaluated on the unit circle via the factored magnitude/argument."""
     _check_multiplier_order(k)
     check_alpha(alpha)
+    check_sigma_tau(sigma, tau)
     x = np.asarray(x, dtype=float)
     damp = math.exp(-sigma * tau)
     z = damp * np.exp(1j * x)

@@ -159,3 +159,27 @@ def test_recurrence_bitwise_equals_reference_loop(k, alpha):
         new = bdf_l_coefficients(k, alpha, J)
         assert new.shape == (J + 1,) and new.dtype == np.float64
         assert np.array_equal(new, _reference_l_coefficients(k, alpha, J))
+
+
+def _reference_series_oracle(k, alpha, J):
+    """The numpy-indexed oracle loop, kept as the bitwise reference."""
+    from fracbdf.coefficients import bdf_polynomial
+    p = [float(c) for c in bdf_polynomial(k)]
+    l = np.empty(J + 1)
+    l[0] = p[0] ** alpha
+    ap1 = alpha + 1.0
+    for j in range(1, J + 1):
+        acc = 0.0
+        for m in range(1, min(j, k) + 1):
+            acc += p[m] * (ap1 * m - j) * l[j - m]
+        l[j] = acc / (j * p[0])
+    return l
+
+
+@pytest.mark.parametrize("alpha", (0.1, 0.3, 0.5, 0.93, 1.0))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_series_oracle_bitwise_equals_reference_loop(k, alpha):
+    for J in sorted({0, 1, k - 1, k, 512}):
+        new = series_oracle(k, alpha, J)
+        assert new.shape == (J + 1,) and new.dtype == np.float64
+        assert new.tobytes() == _reference_series_oracle(k, alpha, J).tobytes()

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (FracParams, ParameterDomainError, bdf_g_coefficients,
                      multiplier_set, q_coefficients, reciprocal_series)
-from fracbdf.multipliers import _closed_form_reciprocal
+from fracbdf.multipliers import _closed_form_ratio, _closed_form_reciprocal
 
 
 def test_multiplier_tables_exact():
@@ -95,3 +95,49 @@ def test_reciprocal_series_decays_for_k6():
     # radius of convergence of 1/mu is 5/3, so c_m ~ const * (3/5)^m
     c = reciprocal_series(6, FracParams(alpha=0.5), 64).c
     assert abs(c[64]) < 100.0 * 0.6 ** 64
+
+
+def _reference_closed_form(k, m):
+    """The Fraction closed forms as first written, kept as the reference."""
+    if k in (3, 4):
+        return Fraction(1, 2) ** m
+    if k == 5:
+        return Fraction(m + 1, 2 ** m)
+    num = 243 * Fraction(18) ** (m - 1) - 15 ** (m + 1) + 25 * Fraction(10) ** (m - 1)
+    return num / Fraction(30) ** m
+
+
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+def test_closed_form_int_division_bitwise_equals_fraction(k):
+    # int / int is correctly rounded, as is float(Fraction): the two must
+    # agree bit for bit, including where the values underflow to zero
+    for m in range(4001):
+        num, den = _closed_form_ratio(k, m)
+        ref = _reference_closed_form(k, m)
+        assert num * ref.denominator == ref.numerator * den, m
+        assert (num / den).hex() == float(ref).hex(), m
+
+
+def _reference_reciprocal(k, damp, J):
+    """The numpy-indexed division loop, kept as the bitwise reference."""
+    mu_w = [float(m) * damp ** j for j, m in enumerate(multiplier_set(k).mu, start=1)]
+    c = np.zeros(J + 1)
+    c[0] = 1.0
+    for m in range(1, J + 1):
+        acc = 0.0
+        for j, mw in enumerate(mu_w, start=1):
+            if j > m:
+                break
+            acc += mw * c[m - j]
+        c[m] = acc
+    return c
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("st", (0.0, 0.5))
+def test_reciprocal_series_bitwise_equals_reference_loop(k, st):
+    params = FracParams(alpha=0.5, sigma=st, tau=1.0)
+    for J in (0, 1, k, 512, 2000):
+        c = reciprocal_series(k, params, J).c
+        assert c.tobytes() == _reference_reciprocal(k, params.damping, J).tobytes()
+        assert not c.flags.writeable
