@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verification
 from .coefficients import FracParams, bdf_g_coefficients
-from .errors import ParameterDomainError
+from .errors import InternalConsistencyError, ParameterDomainError
 from .multipliers import multiplier_set, q_coefficients, reciprocal_series
 from .solver import convergence_harness, problem_from_dict, stability_refinement, step_solve
 from .stability import stability_report, toeplitz_eigencheck
@@ -223,6 +223,7 @@ def cmd_stability(args) -> int:
         "trials": args.trials, "N": [r.N for r in rep.records],
         "max_ratio_sq": [r.max_sq for r in rep.records],
         "max_ratio_lin": [r.max_lin for r in rep.records],
+        "max_residual": [r.max_residual for r in rep.records],
         "growth_factor": rep.growth_factor,
         "verdict": "PASS" if rep.bounded else "FAIL"})
     return 0 if rep.bounded else 1
@@ -350,15 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(json.dumps({"schema": _JSON_SCHEMA, "error": str(exc), "kind": "error"}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 0 on success, 1 on a failed verdict, 2 on
+    bad input and 3 when a computation fails its own consistency check (a
+    step residual above the bound, disagreeing redundant paths); the last
+    two print a JSON error object to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParameterDomainError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(json.dumps({"schema": _JSON_SCHEMA, "error": str(exc),
-                          "kind": "error"}), file=sys.stderr)
-        return 2
+        return _error(exc, 2)
+    except InternalConsistencyError as exc:
+        return _error(exc, 3)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ quotient or rescale rounds once toward -infinity.
   one big-integer product by Kronecker substitution: the half's v and the
   weights are packed into signed W-bit slots of two integers, with W
   taken at each node from the bit lengths of the actual operands so that
-  no slot can overflow.  Every H_n is therefore the same exact integer as
+  no slot can overflow; each weight prefix is packed once per march and
+  slot width.  Every H_n is therefore the same exact integer as
   a step-by-step dot product gives, and every v_n is bitwise the same.
   With CPython's Karatsuba multiplication M(N) the march costs
   O(M(N) log N) instead of the N^2/2 products of the step-by-step sums.
@@ -113,35 +114,43 @@ def mittag_leffler_mp(alpha, z) -> mpf:
         f"series did not converge at alpha={alpha}, z={z} with dps={mp.dps}")
 
 
+def _biases(n: int, B: int) -> int:
+    """sum_{i<n} 2^(8 B - 1) 2^(8 B i): the bias of n packed B-byte slots."""
+    return int.from_bytes((bytes(B - 1) + b"\x80") * n, "little")
+
+
 def _pack(xs: list, B: int) -> int:
     """sum_i xs[i] 2^(8 B i) for integers |xs[i]| < 2^(8 B - 1): each slot
-    holds the two's-complement bytes of xs[i], and the borrow that a
-    negative entry takes from the slot above is subtracted as one packed
-    vector."""
-    mask = (1 << 8 * B) - 1
-    raw = b"".join([(x & mask).to_bytes(B, "little") for x in xs])
-    borrow = bytearray(len(raw) + B)
-    for i, x in enumerate(xs, start=1):
-        if x < 0:
-            borrow[i * B] = 1
-    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+    holds the bytes of xs[i] + 2^(8 B - 1), and the biases are subtracted
+    as one packed integer."""
+    half = 1 << (8 * B - 1)
+    raw = b"".join([(x + half).to_bytes(B, "little") for x in xs])
+    return int.from_bytes(raw, "little") - _biases(len(xs), B)
 
 
-def _product_slots(a: list, b: list, first: int, stop: int) -> list:
+def _product_slots(a: list, b: list, first: int, stop: int, memo: dict | None = None) -> list:
     """Coefficients first..stop-1 of the polynomial product of a and b.
 
     Kronecker substitution: both factors are packed into W-bit slots and
     multiplied as two integers.  W is a multiple of 8 with 2^(W-1) above
     every |coefficient| <= len * max|a| * max|b|, so the slots of the
     product do not overlap once each is offset by 2^(W-1), and they are
-    read back as byte slices.
+    read back as byte slices.  ``memo`` (a dict) keeps the bit length and
+    the packings of b by len(b) for later calls, which is valid when every
+    b of one length is the same list, as the prefixes of one weight vector
+    are.
     """
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + max(len(a), len(b)).bit_length() + 2)
+    if memo is None:
+        memo = {}
+    if len(b) not in memo:
+        memo[len(b)] = (max(map(abs, b)).bit_length(), {})
+    b_bits, packed = memo[len(b)]
+    bits = max(map(abs, a)).bit_length() + b_bits + max(len(a), len(b)).bit_length() + 2
     B = -(-bits // 8)
+    if B not in packed:
+        packed[B] = _pack(b, B)
     slots = len(a) + len(b) - 1
-    offset = int.from_bytes((bytes(B - 1) + b"\x80") * slots, "little")
-    raw = (_pack(a, B) * _pack(b, B) + offset).to_bytes(slots * B, "little")
+    raw = (_pack(a, B) * packed[B] + _biases(slots, B)).to_bytes(slots * B, "little")
     half = 1 << (8 * B - 1)
     return [int.from_bytes(raw[s * B:(s + 1) * B], "little") - half
             for s in range(first, stop)]
@@ -166,6 +175,7 @@ def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
     shift = g[0] + mu
     v = [0] * (N + 1)
     H = [0] * (N + 1)                  # histories, accumulated block by block
+    memo = {}                          # packings of the prefixes g[1:m]
 
     def solve(lo: int, hi: int) -> None:
         """v[lo:hi], given H[lo:hi] with every term from v[:lo] added."""
@@ -179,7 +189,7 @@ def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
         # H[n] += sum_{m=lo}^{mid-1} g_(n-m) v_m for n in [mid, hi): slots
         # mid-lo-1 .. hi-lo-2 of the product of v[lo:mid] and g[1:hi-lo].
         for n, h in zip(range(mid, hi), _product_slots(v[lo:mid], g[1:hi - lo],
-                                                       mid - lo - 1, hi - lo - 1)):
+                                                       mid - lo - 1, hi - lo - 1, memo)):
             H[n] += h
         solve(mid, hi)
 
@@ -242,7 +252,23 @@ def terminal_errors_mp(k: int, alpha: float, sigma: float, lam: float,
     """Terminal errors along a refinement path.  The weights are built once
     at max(N_list) and the reference value once; nothing is kept across
     calls."""
+    return _path_errors_mp(k, alpha, lam, rho, T, N_list, ((sigma, corrected),), dps)[0]
+
+
+def _path_errors_mp(k: int, alpha: float, lam: float, rho: float, T: float,
+                    N_list, variants, dps: int) -> list[list[float]]:
+    """Terminal errors along one refinement path for every (sigma,
+    corrected) in ``variants``.  The weights l_j and E_alpha(-lam T^alpha)
+    depend on neither, so each is built once; every reference value is
+    e^(-sigma T) E rho, formed as :func:`exact_terminal_mp` forms it."""
     weights = scalar_weights_mp(k, alpha, max(N_list), bits=fixed_bits(dps))
-    exact = exact_terminal_mp(alpha, sigma, lam, rho, T, dps)
-    return [terminal_error_mp(k, alpha, sigma, lam, rho, T, N, corrected, dps,
-                              weights=weights, exact=exact) for N in N_list]
+    with mp.workdps(dps):
+        tt = mpf(T)
+        E = mittag_leffler_mp(alpha, -mpf(lam) * tt ** mpf(alpha))
+    errors = []
+    for sigma, corrected in variants:
+        with mp.workdps(dps):
+            exact = mp.exp(-mpf(sigma) * tt) * E * rho
+        errors.append([terminal_error_mp(k, alpha, sigma, lam, rho, T, N, corrected, dps,
+                                         weights=weights, exact=exact) for N in N_list])
+    return errors

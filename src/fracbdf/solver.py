@@ -50,12 +50,17 @@ marches a (trials x dim) block of data at once; :func:`stability_experiment`
 uses that for its perturbations and :func:`step_solve` is its one-datum
 case.
 
+Every relative residual must stay below :data:`RESIDUAL_BOUND`; a step
+above it raises :class:`~fracbdf.errors.InternalConsistencyError`, naming
+the step and the trial.
+
 Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
-Laplacian on a uniform interior grid (orthonormal DST-I basis; banded
-Cholesky solves), or a general dense SPD matrix (``eigh`` basis; Cholesky
-solves).  All of them expose the energy norm |A^(1/2) v| and its dual,
-which the stability experiments use, and ``shifted_solver`` for one step's
-system (S_0 I + A) x = b.
+Laplacian on a uniform interior grid (orthonormal DST-I basis; LDL^T
+solves with LAPACK ``dpttrf``/``dpttrs``, all right-hand sides in one
+call), or a general dense SPD matrix (``eigh`` basis; Cholesky solves).
+All of them expose the energy norm |A^(1/2) v| and its dual, which the
+stability experiments use, and ``shifted_solver`` for one step's system
+(S_0 I + A) x = b.
 """
 
 from __future__ import annotations
@@ -67,11 +72,11 @@ from numbers import Integral
 
 import numpy as np
 from scipy.fft import dst, irfft, next_fast_len, rfft
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .coefficients import (FracParams, bdf_l_coefficients, check_alpha, check_order,
-                           tempered_table)
-from .errors import ParameterDomainError, config_int, parses_config
+from .coefficients import bdf_l_coefficients, check_alpha, check_order
+from .errors import InternalConsistencyError, ParameterDomainError, config_int, parses_config
 from .operators import (DiscreteTimeOperator, FractionalOperatorSpec, SingleTerm,
                         check_operator, discretize, operator_spec_from_dict)
 from .special import exact_scalar_solution
@@ -179,12 +184,17 @@ class TridiagonalLaplacian:
         return out
 
     def shifted_solver(self, shift: float):
-        # Banded Cholesky of (main + shift, off) in upper storage, factored once.
-        band = np.empty((2, self.size))
-        band[0] = self._off
-        band[1] = self._main + shift
-        fac = (cholesky_banded(band), False)
-        return lambda rhs: cho_solve_banded(fac, np.asarray(rhs, dtype=float))
+        # LDL^T of (main + shift, off), factored once; one dpttrs call solves
+        # every column of rhs.  Size 1 has no off-diagonal, which the LAPACK
+        # wrappers reject, and is a division.
+        main = self._main + shift
+        if self.size == 1:
+            return lambda rhs: np.asarray(rhs, dtype=float) / main
+        d, e, info = dpttrf(np.full(self.size, main), np.full(self.size - 1, self._off))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"shifted operator is not positive definite "
+                                        f"(shift {shift!r})")
+        return lambda rhs: dpttrs(d, e, np.asarray(rhs, dtype=float))[0]
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the orthonormal DST-I basis, which
@@ -316,6 +326,12 @@ class SolveResult:
 #: columns per elementwise pass; bounds the work arrays at a few hundred KiB.
 _BLOCK = 2 ** 15
 
+#: Largest accepted relative residual of any step's system.  The march is
+#: backward stable: the largest residuals seen are ~1e-11 at dim 2048 and
+#: ~4e-14 in the verify-paper battery, so a step above this bound means the
+#: march itself went wrong; it raises InternalConsistencyError.
+RESIDUAL_BOUND = 1e-8
+
 
 def step_solve(problem: SubdiffusionProblem, k: int, N: int,
                corrected: bool = True,
@@ -340,6 +356,10 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
                        tau=tau, corrected=corrected, sigma=problem.sigma)
 
 
+def _corrections(k: int, corrected: bool) -> list[float]:
+    return [float(a) for a in correction_weights(k)] if corrected else []
+
+
 def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
            corrected: bool, op: DiscreteTimeOperator | None):
     """March the data rho[b] (rows of a trials x dim block) of ``problem``.
@@ -347,8 +367,7 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     Returns (tau, decay, w, residuals) with w of shape (N+1, trials, dim)
     and residuals of shape (N+1, trials).  The march runs in the untempered
     frame (module docstring) and applies the tempering e^(-sigma*n*tau) to
-    w once, at the end.  The modal series d / (S + lam_i) do not depend on
-    the datum, so they are computed once for the block.
+    w once, at the end.
     """
     check_order(k)
     if N < k:
@@ -359,25 +378,45 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     else:
         check_operator(op, problem.time_op, k, tau, N)
     S = op.untempered_weights[:N + 1]
+    w, residuals = _untempered_march(problem.A, S, rho, _corrections(k, corrected))
+    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
+    w *= decay[:, None, None]
+    return tau, decay, w, residuals
+
+
+def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float],
+                      R: np.ndarray | None = None):
+    """The untempered march of the data rows rho (trials x dim) with weights
+    S = S^ and datum d^(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
+
+    Returns w^ of shape (N+1, trials, dim) and its relative residuals, shape
+    (N+1, trials).  The modal series d^ / (S^ + lam_i) do not depend on the
+    data, so they are computed once for the block, and the reciprocals
+    R = 1/(S^ + lam_i) (:func:`_reciprocal_series`) do not depend on the
+    corrections either: a caller marching several data with the same S^
+    and operator may pass R.  A residual above :data:`RESIDUAL_BOUND`
+    raises InternalConsistencyError.
+    """
     if S[0] <= 0.0:
         raise ParameterDomainError(f"zero weight must be > 0, got {S[0]!r}")
-    A = problem.A
-    corrections = [float(a) for a in correction_weights(k)] if corrected else []
-    d = np.ones(N + 1)
+    d = np.ones(len(S))
     d[0] = 0.0
     d[1:1 + len(corrections)] += corrections
     Arho = A.matvec(rho.T).T
     lam, to_modal, from_modal = A.eigensystem()
-    rhs = from_modal(_modal_march(S, lam, -(S[0] + lam) * to_modal(Arho), corrections))
+    # A reciprocal built here is a temporary, freed before the block solve.
+    rhs = from_modal(_modal_march(_reciprocal_series(S, lam) if R is None else R,
+                                  -(S[0] + lam) * to_modal(Arho), corrections))
     M, trials, dim = rhs.shape
     w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
     del rhs                    # at most two (N+1) x trials x dim arrays live at once
-    # One datum at a time, so the history buffer stays (N+1) x dim.
-    residuals = np.stack([_residuals(A, S, w[:, b], d, Arho[b]) for b in range(trials)],
-                         axis=1)
-    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
-    w *= decay[:, None, None]
-    return tau, decay, w, residuals
+    residuals = _residuals(A, S, w, d, Arho)
+    n, b = np.unravel_index(np.argmax(residuals), residuals.shape)
+    if not residuals[n, b] <= RESIDUAL_BOUND:
+        raise InternalConsistencyError(
+            f"relative residual {residuals[n, b]:.3e} at step {n} of trial {b} "
+            f"exceeds {RESIDUAL_BOUND:g}")
+    return w, residuals
 
 
 def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -410,20 +449,19 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return R
 
 
-def _modal_march(S: np.ndarray, lam: np.ndarray, coef: np.ndarray,
-                 corrections: list[float]) -> np.ndarray:
-    """Modal trajectories: out[:, b, i] = coef[b, i] * (d / (S + lam_i)) to
-    N+1 terms, for a (trials, dim) block of coefficients, with the datum
+def _modal_march(R: np.ndarray, coef: np.ndarray, corrections: list[float]) -> np.ndarray:
+    """Modal trajectories: out[:, b, i] = coef[b, i] * d(z) R_i(z) to N+1
+    terms, for the reciprocal series R_i = 1/(S + lam_i) (one row per mode),
+    a (trials, dim) block of coefficients and the datum
     d(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
 
     The product with z/(1 - z) is a cumulative sum shifted by one step, so
     the datum costs one cumsum plus one shifted add per correction.
     """
-    M = len(S)
-    R = _reciprocal_series(S, lam)
+    modes, M = R.shape
     out = np.empty((M, *coef.shape))
     rows = max(1, _BLOCK // M)
-    for b in range(0, len(lam), rows):
+    for b in range(0, modes, rows):
         Rb = R[b:b + rows]
         block = np.empty_like(Rb)
         block[:, 0] = 0.0
@@ -436,28 +474,42 @@ def _modal_march(S: np.ndarray, lam: np.ndarray, coef: np.ndarray,
 
 def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
                Arho: np.ndarray) -> np.ndarray:
-    """|(S_0 I + A) w^n - rhs^n| / |rhs^n| for every step, with
-    rhs^n = -d_n A rho - sum_{j>=1} S_j w^(n-j) (0 at n = 0).
+    """|(S_0 I + A) w^n_b - rhs^n_b| / |rhs^n_b| for every step n and datum b,
+    with rhs^n_b = -d_n A rho_b - sum_{j>=1} S_j w^(n-j)_b (0 at n = 0);
+    w has shape (N+1, trials, dim) and the result (N+1, trials).
 
-    The history of all steps comes from one FFT convolution of S with w
-    along time, in column blocks; the rest is evaluated in row blocks.
+    The histories come from FFT convolutions of S with w along time, over
+    the (trial, component) columns of a group of trials in column blocks;
+    the rest is evaluated in row blocks of the group.  A group's history
+    buffer holds at most max((N+1) x dim, _BLOCK) elements, so no second
+    full-size array is live beside w.
     """
-    M, dim = w.shape
+    M, trials, dim = w.shape
     nfft = next_fast_len(2 * M - 1, real=True)
     S_hat = rfft(S, nfft)[:, None]
-    hist = np.empty_like(w)
     cols = max(1, _BLOCK // nfft)
-    for c in range(0, dim, cols):
-        conv = irfft(rfft(w[:, c:c + cols], nfft, axis=0) * S_hat, nfft, axis=0)
-        hist[:, c:c + cols] = conv[:M] - S[0] * w[:, c:c + cols]
-    out = np.zeros(M)
-    rows = max(1, _BLOCK // dim)
-    for r in range(1, M, rows):
-        wb = w[r:r + rows]
-        rhs = -d[r:r + rows, None] * Arho - hist[r:r + rows]
-        res = S[0] * wb + A.matvec(wb.T).T - rhs
-        out[r:r + rows] = (np.linalg.norm(res, axis=1)
-                           / np.maximum(np.linalg.norm(rhs, axis=1), 1e-300))
+    group = max(1, min(trials, _BLOCK // (M * dim)))
+    out = np.zeros((M, trials))
+    for t in range(0, trials, group):
+        wg = w[:, t:t + group]
+        g = wg.shape[1]
+        flat = wg.reshape(M, g * dim)
+        hist = np.empty((M, g * dim))
+        for c in range(0, g * dim, cols):
+            blk = flat[:, c:c + cols]
+            conv = irfft(rfft(blk, nfft, axis=0) * S_hat, nfft, axis=0)
+            np.subtract(conv[:M], S[0] * blk, out=hist[:, c:c + cols])
+        hist = hist.reshape(M, g, dim)
+        rows = max(1, _BLOCK // (g * dim))
+        for r in range(1, M, rows):
+            wb = wg[r:r + rows]
+            rhs = -d[r:r + rows, None, None] * Arho[t:t + g]
+            rhs -= hist[r:r + rows]
+            res = S[0] * wb
+            res += A.matvec(wb.reshape(-1, dim).T).T.reshape(wb.shape)
+            res -= rhs
+            out[r:r + rows, t:t + g] = (np.linalg.norm(res, axis=2)
+                                        / np.maximum(np.linalg.norm(rhs, axis=2), 1e-300))
     return out
 
 
@@ -534,7 +586,10 @@ def problem_from_dict(d: dict) -> SubdiffusionProblem:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Terminal errors and successive observed orders on a refinement path."""
+    """Terminal errors and successive observed orders on a refinement path.
+
+    ``max_residual`` is the largest relative step residual of the float64
+    marches (None for the extended-precision twin)."""
 
     k: int
     alpha: float
@@ -545,11 +600,19 @@ class ConvergenceReport:
     errors: tuple[float, ...]
     orders: tuple[float, ...]
     precision: int | None
+    max_residual: float | None = None
 
     @property
     def observed_order(self) -> float:
         """Order estimate from the two finest grids."""
         return self.orders[-1]
+
+
+def _refinement_path(N_list) -> tuple[int, ...]:
+    N_list = tuple(int(n) for n in N_list)
+    if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ParameterDomainError("N_list must be strictly increasing, length >= 2")
+    return N_list
 
 
 def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
@@ -564,42 +627,70 @@ def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
     log2(10)) + 32 (needed to observe orders k >= 5, whose errors drop
     below the float64 floor on fine grids).
     """
+    return _path_reports(k, alpha, lam, N_list, ((sigma, corrected),), rho, T,
+                         precision)[0]
+
+
+def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
+                  rho: float = 1.0, T: float = 1.0,
+                  precision: int | None = None) -> list[ConvergenceReport]:
+    """One :class:`ConvergenceReport` per (sigma, corrected) in ``variants``,
+    all on the refinement path (k, alpha, lam, N_list).
+
+    The variants share everything that does not depend on sigma: in the
+    untempered frame S^ = tau^(-alpha) l, the reciprocal 1/(S^ + lam), the
+    block solve and the residuals are sigma-free, and sigma enters only
+    through the factor e^(-sigma*N*tau) of the terminal value.  So the
+    float64 path builds the l_j once, each grid's reciprocal once, and each
+    (grid, corrected) march once; every terminal value is formed with the
+    operations :func:`step_solve` uses, so each error is bitwise that of a
+    separate :func:`convergence_harness` call.  The twin builds its weights
+    and its Mittag-Leffler value once per path.
+    """
     check_order(k)
     check_alpha(alpha)
     if precision is not None and (not isinstance(precision, Integral) or precision < 16):
         raise ParameterDomainError(
             f"precision must be an integer number of digits >= 16, got {precision!r}")
-    problem = scalar_problem(lam, alpha, sigma, rho, T)   # validates the inputs
-    N_list = tuple(int(n) for n in N_list)
-    if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ParameterDomainError("N_list must be strictly increasing, length >= 2")
+    # validates lam, rho, T and every sigma
+    problems = [scalar_problem(lam, alpha, sigma, rho, T) for sigma, _ in variants]
+    N_list = _refinement_path(N_list)
+    max_residual = None
     if precision is None:
-        # The l_j do not depend on N: one build at the finest grid, whose
-        # prefixes equal the per-N builds bitwise, tempered and scaled per N.
-        exact = exact_scalar_solution(lam, alpha, sigma, rho, T)
+        if N_list[0] < k:
+            raise ParameterDomainError(f"need N >= k = {k}, got N = {N_list[0]}")
+        exact = {sigma: exact_scalar_solution(lam, alpha, sigma, rho, T)
+                 for sigma in {p.sigma for p in problems}}
+        A = problems[0].A
+        rho_b = problems[0].rho[None]
         l = bdf_l_coefficients(k, alpha, N_list[-1])
-        errors = []
+        errors = [[] for _ in variants]
+        max_residual = {c: 0.0 for _, c in variants}
         for N in N_list:
-            tau = problem.T / N
-            table = tempered_table(k, FracParams(alpha, problem.sigma, tau), l[:N + 1])
-            op = DiscreteTimeOperator(k=k, tau=tau, sigma=problem.sigma,
-                                      scales=(tau ** (-alpha),), tables=(table,))
-            u = step_solve(problem, k, N, corrected=corrected, op=op).terminal[0]
-            errors.append(abs(float(u) - exact))
+            tau = problems[0].T / N
+            S = tau ** (-alpha) * l[:N + 1]      # bitwise the operator's S^
+            R = _reciprocal_series(S, A.eigensystem()[0])
+            for corrected in max_residual:
+                w, residuals = _untempered_march(A, S, rho_b, _corrections(k, corrected), R)
+                max_residual[corrected] = max(max_residual[corrected], float(residuals.max()))
+                for i, (p, (_, c)) in enumerate(zip(problems, variants)):
+                    if c == corrected:     # u^N with the operations of step_solve
+                        decay = np.exp(-p.sigma * tau * np.arange(N + 1))[N]
+                        u = decay * p.rho[0] + w[N, 0, 0] * decay
+                        errors[i].append(abs(float(u) - exact[p.sigma]))
     else:
-        from .highprec import terminal_errors_mp
-        errors = terminal_errors_mp(k, alpha, sigma, lam, rho, T, N_list,
-                                    corrected=corrected, dps=int(precision))
-    orders = []
-    for e0, e1 in zip(errors, errors[1:]):
-        if e0 > 0.0 and e1 > 0.0:
-            orders.append(math.log2(e0 / e1))
-        else:
-            orders.append(math.inf)
-    return ConvergenceReport(k=k, alpha=alpha, sigma=sigma, lam=lam,
-                             corrected=corrected, N_list=N_list,
-                             errors=tuple(errors), orders=tuple(orders),
-                             precision=precision)
+        from .highprec import _path_errors_mp
+        errors = _path_errors_mp(k, alpha, lam, rho, T, N_list, variants, int(precision))
+    reports = []
+    for (sigma, corrected), errs in zip(variants, errors):
+        orders = [math.log2(e0 / e1) if e0 > 0.0 and e1 > 0.0 else math.inf
+                  for e0, e1 in zip(errs, errs[1:])]
+        reports.append(ConvergenceReport(
+            k=k, alpha=alpha, sigma=sigma, lam=lam, corrected=corrected,
+            N_list=N_list, errors=tuple(errs), orders=tuple(orders),
+            precision=precision,
+            max_residual=None if max_residual is None else max_residual[corrected]))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +699,14 @@ def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
 
 @dataclass(frozen=True)
 class PerturbationRecord:
-    """Energy-norm growth ratios of perturbed runs at one grid size."""
+    """Energy-norm growth ratios of perturbed runs at one grid size, and the
+    largest relative step residual of their march."""
 
     k: int
     N: int
     ratios_sq: tuple[float, ...]      # (1/N) sum_n ||eps^n||^2 / ||eps^0||^2
     ratios_lin: tuple[float, ...]     # tau sum_n ||eps^n|| / (T ||eps^0||)
+    max_residual: float
 
     @property
     def max_sq(self) -> float:
@@ -633,13 +726,20 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     norm, the difference between the runs from rho + eps^0 and from rho.
     The scheme is linear in rho, so that difference is the run from eps^0
     itself.  All perturbations are marched as one (perturbations x dim)
-    block through the kernel of :func:`step_solve`, which evaluates every
-    run's residuals as well.
+    block through the kernel of :func:`step_solve`, which evaluates and
+    gates every run's residuals as well; the largest is kept in the record.
+    ``perturbations`` must be >= 1 and ``amplitude`` finite and > 0.
     """
+    if isinstance(perturbations, bool) or not isinstance(perturbations, Integral) \
+            or perturbations < 1:
+        raise ParameterDomainError(
+            f"perturbations must be an integer >= 1, got {perturbations!r}")
+    if not 0.0 < amplitude < math.inf:
+        raise ParameterDomainError(f"amplitude must be finite and > 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     A = problem.A
     eps0 = amplitude * rng.standard_normal((perturbations, A.dim))
-    tau, decay, w, _ = _march(problem, k, N, eps0, True, None)
+    tau, decay, w, residuals = _march(problem, k, N, eps0, True, None)
     # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
     # that no second full-size array is live beside w.
     w, decay = w[1:], decay[1:]
@@ -653,7 +753,8 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     ratios_sq = np.sum(norms ** 2, axis=0) / (N * e0 ** 2)
     ratios_lin = tau * np.sum(norms, axis=0) / (problem.T * e0)
     return PerturbationRecord(k=k, N=N, ratios_sq=tuple(map(float, ratios_sq)),
-                              ratios_lin=tuple(map(float, ratios_lin)))
+                              ratios_lin=tuple(map(float, ratios_lin)),
+                              max_residual=float(residuals.max()))
 
 
 @dataclass(frozen=True)
@@ -670,6 +771,10 @@ class RefinementStabilityReport:
         return (last.max_sq <= self.growth_factor * first.max_sq
                 and last.max_lin <= self.growth_factor * first.max_lin)
 
+    @property
+    def max_residual(self) -> float:
+        return max(r.max_residual for r in self.records)
+
 
 def stability_refinement(problem: SubdiffusionProblem, k: int, N_list,
                          perturbations: int = 10, seed: int = 0,
@@ -678,8 +783,10 @@ def stability_refinement(problem: SubdiffusionProblem, k: int, N_list,
 
     The same seed is used at every grid size so the drawn perturbations
     match across the refinement and the ratios are directly comparable.
+    ``N_list`` must be strictly increasing with at least two sizes, so that
+    the verdict compares a coarsest and a finest grid.
     """
     records = tuple(stability_experiment(problem, k, N, perturbations, seed)
-                    for N in N_list)
+                    for N in _refinement_path(N_list))
     return RefinementStabilityReport(k=k, records=records,
                                      growth_factor=growth_factor)

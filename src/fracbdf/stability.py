@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigvals_banded, eigvalsh, toeplitz
+from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh, eigvals_banded,
+                          eigvalsh, toeplitz)
 
 from .coefficients import check_alpha, check_order, check_sigma_tau
 from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
@@ -198,7 +199,8 @@ def _section_extremes(t, N: int, witness_below: float = -math.inf):
     eigenvector if lambda_min < ``witness_below``, else None.
 
     Bandwidth <= 3 (the multiplier bands) is solved in band storage with
-    no N x N matrix; longer columns (q sections) densely.
+    no N x N matrix, the witness by inverse iteration
+    (:func:`_band_witness`); longer columns (q sections) densely.
     """
     t = np.asarray(t, dtype=float)[:N]
     col = np.concatenate((t[:1], t[1:] / 2.0))
@@ -209,14 +211,43 @@ def _section_extremes(t, N: int, witness_below: float = -math.inf):
             band[bw - j, j:] = c
         lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
         hi = eigvals_banded(band, select="i", select_range=(N - 1, N - 1))[0]
-        vec = (eig_banded(band, select="i", select_range=(0, 0))[1][:, 0]
-               if lo < witness_below else None)
+        vec = _band_witness(band, lo, max(abs(lo), abs(hi))) if lo < witness_below else None
     else:
         H = toeplitz(col)
         ev = eigvalsh(H)             # both ends in one pass: cheaper than two subsets
         lo, hi = ev[0], ev[-1]
         vec = eigh(H, subset_by_index=(0, 0))[1][:, 0] if lo < witness_below else None
     return float(lo), float(hi), vec
+
+
+#: Most inverse-iteration solves for one witness; a handful suffice unless
+#: lambda_min is nearly degenerate, when any vector of the cluster will do.
+_WITNESS_SOLVES = 50
+
+
+def _band_witness(band: np.ndarray, lo: float, norm: float) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue ``lo`` < 0 of the
+    symmetric matrix in upper band storage ``band``, whose 2-norm is ``norm``.
+
+    Inverse iteration: the matrix shifted to lo - delta, delta = 1e-12 norm
+    (far above the error of lo, so the shifted matrix is definite), is
+    factored once by banded Cholesky, and each solve multiplies every other
+    eigencomponent by at most delta / (its gap + delta) relative to lo's.
+    O(N) per solve; no N x N matrix is formed.
+    """
+    shifted = band.copy()
+    shifted[-1] -= lo - 1e-12 * norm
+    fac = (cholesky_banded(shifted), False)
+    v = np.random.default_rng(0).standard_normal(band.shape[1])
+    v /= np.linalg.norm(v)
+    for _ in range(_WITNESS_SOLVES):
+        x = cho_solve_banded(fac, v)
+        x /= np.linalg.norm(x)
+        step = np.linalg.norm(x - math.copysign(1.0, x @ v) * v)
+        v = x
+        if step <= 1e-10:
+            break
+    return v
 
 
 @functools.lru_cache(maxsize=8)      # the sandwich check's 4 orders x 2 sigma*tau

@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import FracParams, bdf_g_coefficients, bdf_l_coefficients, series_oracle
 from .multipliers import multiplier_set, q_coefficients, reciprocal_series
 from .operators import FractionalOperatorSpec, SingleTerm
-from .solver import (SubdiffusionProblem, TridiagonalLaplacian, convergence_harness,
+from .solver import (SubdiffusionProblem, TridiagonalLaplacian, _path_reports,
                      correction_weights, stability_refinement)
 from .stability import (argument_sweep, lower_bound_extrema, multiplier_energy_check,
                         positivity_generating_function, quadrature_positivity_check,
@@ -292,32 +292,49 @@ def check_convergence_orders(n_list=(128, 256, 512)) -> CheckResult:
     uncorrected runs (k >= 2) must not exceed order 1.5.  Orders k >= 5
     are measured with the extended-precision twin because their errors
     fall below the float64 floor on these grids.
+
+    All runs of one (k, alpha) path share what does not depend on sigma:
+    the float64 runs share the l_j, each grid's reciprocal series and each
+    (grid, corrected) march, and the twin runs share the weights and the
+    Mittag-Leffler value; every error is bitwise that of a separate
+    :func:`~fracbdf.solver.convergence_harness` call.  ``max_residual``
+    is the largest step residual of the float64 marches.
     """
     t0 = time.perf_counter()
+    sigmas, alphas = (0.0, 1.0), (0.3, 0.5, 0.8)
+    reports = {}
+    for k in range(1, 7):
+        for alpha in alphas:
+            corrected = [(sigma, True) for sigma in sigmas]
+            uncorrected = [(sigma, False) for sigma in sigmas] if k >= 2 else []
+            # corrected k >= 5 needs the twin; all float64 runs share one path
+            paths = ([(corrected, 30), (uncorrected, None)] if k >= 5
+                     else [(corrected + uncorrected, None)])
+            for variants, precision in paths:
+                reps = _path_reports(k, alpha, 1.0, n_list, variants, precision=precision)
+                reports.update(((k, alpha) + v, r) for v, r in zip(variants, reps))
     failures = []
     orders: dict = {}
     for k in range(1, 7):
-        precision = 30 if k >= 5 else None
-        for sigma in (0.0, 1.0):
-            for alpha in (0.3, 0.5, 0.8):
-                rep = convergence_harness(k, alpha, sigma, lam=1.0,
-                                          N_list=n_list, corrected=True,
-                                          precision=precision)
+        for sigma in sigmas:
+            for alpha in alphas:
+                rep = reports[k, alpha, sigma, True]
                 orders[f"k{k}_a{alpha}_s{sigma}_corrected"] = rep.observed_order
                 if abs(rep.observed_order - k) > 0.35:
                     failures.append(
                         f"corrected k={k} alpha={alpha} sigma={sigma}: "
                         f"order {rep.observed_order:.3f}")
                 if k >= 2:
-                    rep = convergence_harness(k, alpha, sigma, lam=1.0,
-                                              N_list=n_list, corrected=False)
+                    rep = reports[k, alpha, sigma, False]
                     orders[f"k{k}_a{alpha}_s{sigma}_uncorrected"] = rep.observed_order
                     if rep.observed_order > 1.5:
                         failures.append(
                             f"uncorrected k={k} alpha={alpha} sigma={sigma}: "
                             f"order {rep.observed_order:.3f}")
+    max_residual = max(r.max_residual for r in reports.values() if r.precision is None)
     return _result("scalar-convergence-orders", t0, not failures,
-                   failures=failures, tol=0.35, orders=orders)
+                   failures=failures, tol=0.35, orders=orders,
+                   max_residual=max_residual)
 
 
 def check_perturbation_stability() -> CheckResult:
@@ -330,6 +347,7 @@ def check_perturbation_stability() -> CheckResult:
     t0 = time.perf_counter()
     failures = []
     details: dict = {}
+    max_residual = 0.0
     A = TridiagonalLaplacian(size=64, length=1.0)
     rho = np.sin(math.pi * A.grid())
     problem = SubdiffusionProblem(
@@ -342,13 +360,14 @@ def check_perturbation_stability() -> CheckResult:
             "max_sq": [r.max_sq for r in rep.records],
             "max_lin": [r.max_lin for r in rep.records],
         }
+        max_residual = max(max_residual, rep.max_residual)
         if not rep.bounded:
             failures.append(
                 f"k={k}: ratios grew beyond 2x across refinement "
                 f"({details[f'k{k}']})")
     elapsed = time.perf_counter() - t0
     return _result("perturbation-stability", t0, not failures and elapsed < 60.0,
-                   failures=failures, budget_s=60.0, **details)
+                   failures=failures, budget_s=60.0, max_residual=max_residual, **details)
 
 
 ALL_CHECKS = (
