@@ -22,16 +22,17 @@ class GridTooCoarseError(RuntimeError):
 
 def parses_config(parse):
     """Decorate a config parser so that a malformed value (a non-numeric
-    string, a wrong-length entry, an unknown keyword, a missing key) raises
-    ParameterDomainError instead of the ValueError, TypeError or KeyError
-    that parsing it raised."""
+    string, a wrong-length entry, an unknown keyword, a missing key, an
+    integer too large for a float) raises ParameterDomainError instead of
+    the ValueError, TypeError, KeyError or OverflowError that parsing it
+    raised."""
     @functools.wraps(parse)
     def wrapper(*args, **kwargs):
         try:
             return parse(*args, **kwargs)
         except ParameterDomainError:
             raise
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ParameterDomainError(f"malformed config: {exc!s}") from exc
     return wrapper
 

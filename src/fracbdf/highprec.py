@@ -177,7 +177,7 @@ def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
     H = [0] * (N + 1)                  # histories, accumulated block by block
     memo = {}                          # packings of the prefixes g[1:m]
 
-    def solve(lo: int, hi: int) -> None:
+    def solve_block(lo: int, hi: int) -> None:
         """v[lo:hi], given H[lo:hi] with every term from v[:lo] added."""
         if hi - lo <= _LEAF:
             for n in range(lo, hi):
@@ -185,15 +185,15 @@ def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
                 v[n] = ((-(d[n] * mu >> P) - (hist >> P)) << P) // shift
             return
         mid = (lo + hi) // 2
-        solve(lo, mid)
+        solve_block(lo, mid)
         # H[n] += sum_{m=lo}^{mid-1} g_(n-m) v_m for n in [mid, hi): slots
         # mid-lo-1 .. hi-lo-2 of the product of v[lo:mid] and g[1:hi-lo].
         for n, h in zip(range(mid, hi), _product_slots(v[lo:mid], g[1:hi - lo],
                                                        mid - lo - 1, hi - lo - 1, memo)):
             H[n] += h
-        solve(mid, hi)
+        solve_block(mid, hi)
 
-    solve(1, N + 1)
+    solve_block(1, N + 1)
     return v[N] + decay[N]
 
 
@@ -244,15 +244,6 @@ def terminal_error_mp(k: int, alpha: float, sigma: float, lam: float,
         exact = exact_terminal_mp(alpha, sigma, lam, rho, T, dps)
     with mp.workprec(fixed_bits(dps)):
         return float(abs(u_num - exact))
-
-
-def terminal_errors_mp(k: int, alpha: float, sigma: float, lam: float,
-                       rho: float, T: float, N_list, corrected: bool = True,
-                       dps: int = 30) -> list[float]:
-    """Terminal errors along a refinement path.  The weights are built once
-    at max(N_list) and the reference value once; nothing is kept across
-    calls."""
-    return _path_errors_mp(k, alpha, lam, rho, T, N_list, ((sigma, corrected),), dps)[0]
 
 
 def _path_errors_mp(k: int, alpha: float, lam: float, rho: float, T: float,

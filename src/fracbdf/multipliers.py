@@ -93,11 +93,6 @@ def _closed_form_ratio(k: int, m: int) -> tuple[int, int]:
     raise ParameterDomainError(f"no closed-form reciprocal for k={k}")
 
 
-def _closed_form_reciprocal(k: int, m: int) -> Fraction:
-    """Exact untempered reciprocal coefficient c_m for k in {3,...,6}."""
-    return Fraction(*_closed_form_ratio(k, m))
-
-
 @dataclass(frozen=True)
 class ReciprocalSeries:
     """Tempered power-series coefficients c_0..c_J of 1/mu(zeta)."""

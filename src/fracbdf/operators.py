@@ -206,30 +206,6 @@ def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
                                 scales=tuple(scales), tables=tuple(tables))
 
 
-def check_operator(op: DiscreteTimeOperator, spec: FractionalOperatorSpec,
-                   k: int, tau: float, N: int) -> None:
-    """Raise ParameterDomainError unless ``op`` is what ``discretize(spec,
-    k, tau, N)`` assembles, up to tables longer than N + 1: the same k,
-    tau and sigma and, table by table, the same order alpha_i and scale
-    b_i * tau^(-alpha_i) (to 1e-12 relative)."""
-    if op.k != k or abs(op.tau - tau) > 1e-15 * tau:
-        raise ParameterDomainError("supplied operator does not match (k, tau)")
-    if op.sigma != spec.sigma:
-        raise ParameterDomainError(
-            f"supplied operator has sigma = {op.sigma!r}, problem has {spec.sigma!r}")
-    want = [(b * tau ** (-alpha), alpha) for b, alpha in _order_pairs(spec)]
-    have = [(s, t.params.alpha) for s, t in zip(op.scales, op.tables)]
-    if len(have) != len(want) or any(
-            a != alpha or not math.isclose(s, scale, rel_tol=1e-12)
-            for (s, a), (scale, alpha) in zip(have, want)):
-        raise ParameterDomainError(
-            f"supplied operator has (scale, alpha) = {have}, "
-            f"the problem's spec gives {want}")
-    if len(op.untempered_weights) < N + 1:
-        raise ParameterDomainError(
-            f"supplied operator covers {len(op.untempered_weights) - 1} steps, need N = {N}")
-
-
 def apply_history(op: DiscreteTimeOperator, history, n: int):
     """Lagged part sum_{j=1}^{n} S_j w^(n-j) of the combined convolution.
 

@@ -58,8 +58,8 @@ Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
 Laplacian on a uniform interior grid (orthonormal DST-I basis; LDL^T
 solves with LAPACK ``dpttrf``/``dpttrs``, all right-hand sides in one
 call), or a general dense SPD matrix (``eigh`` basis; Cholesky solves).
-All of them expose the energy norm |A^(1/2) v| and its dual, which the
-stability experiments use, and ``shifted_solver`` for one step's system
+All of them expose the energy norm |A^(1/2) v|, which the stability
+experiments use, and ``shifted_solver`` for one step's system
 (S_0 I + A) x = b.
 """
 
@@ -77,8 +77,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import bdf_l_coefficients, check_alpha, check_order
 from .errors import InternalConsistencyError, ParameterDomainError, config_int, parses_config
-from .operators import (DiscreteTimeOperator, FractionalOperatorSpec, SingleTerm,
-                        check_operator, discretize, operator_spec_from_dict)
+from .operators import FractionalOperatorSpec, SingleTerm, discretize, operator_spec_from_dict
 from .special import exact_scalar_solution
 
 #: Starting corrections a_1..a_{k-1}, exact rationals.
@@ -127,9 +126,6 @@ class ScalarOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.value * np.asarray(v, dtype=float)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.asarray(rhs, dtype=float) / self.value
-
     def shifted_solver(self, shift: float):
         denom = shift + self.value
         return lambda rhs: np.asarray(rhs, dtype=float) / denom
@@ -140,9 +136,6 @@ class ScalarOperator:
 
     def energy_norm(self, v) -> float:
         return math.sqrt(self.value) * float(np.linalg.norm(v))
-
-    def dual_norm(self, v) -> float:
-        return float(np.linalg.norm(v)) / math.sqrt(self.value)
 
 
 class TridiagonalLaplacian:
@@ -201,14 +194,8 @@ class TridiagonalLaplacian:
         is its own inverse.  The transforms act on the last axis."""
         return self.eigenvalues(), _dst_ortho, _dst_ortho
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.shifted_solver(0.0)(rhs)
-
     def energy_norm(self, v) -> float:
         return math.sqrt(max(float(np.dot(v, self.matvec(v))), 0.0))
-
-    def dual_norm(self, v) -> float:
-        return math.sqrt(max(float(np.dot(v, self.solve(v))), 0.0))
 
 
 class DenseSPDOperator:
@@ -239,10 +226,6 @@ class DenseSPDOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        V = self._V
-        return V @ ((V.T @ np.asarray(rhs, dtype=float)) / self._lam)
-
     def shifted_solver(self, shift: float):
         fac = cho_factor(self.matrix + shift * np.eye(self.dim))
         return lambda rhs: cho_solve(fac, np.asarray(rhs, dtype=float))
@@ -255,9 +238,6 @@ class DenseSPDOperator:
 
     def energy_norm(self, v) -> float:
         return math.sqrt(max(float(np.dot(v, self.matvec(v))), 0.0))
-
-    def dual_norm(self, v) -> float:
-        return math.sqrt(max(float(np.dot(v, self.solve(v))), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +314,13 @@ RESIDUAL_BOUND = 1e-8
 
 
 def step_solve(problem: SubdiffusionProblem, k: int, N: int,
-               corrected: bool = True,
-               op: DiscreteTimeOperator | None = None) -> SolveResult:
+               corrected: bool = True) -> SolveResult:
     """March the corrected scheme over N uniform steps.
 
     Solves all N steps at once by modal series division and one block
-    solve (module docstring), then evaluates every step's residual.  An
-    already assembled ``op`` may be passed to amortize weight generation
-    across repeated solves with identical (k, tau, spec); it must match k,
-    tau, sigma and the problem's orders and scales b_i * tau^(-alpha_i),
-    and cover at least N steps (:func:`~fracbdf.operators.check_operator`).
+    solve (module docstring), then evaluates every step's residual.
     """
-    tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected, op)
+    tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected)
     w, residuals = w[:, 0], residuals[:, 0]
     u = decay[:, None] * problem.rho
     u += w
@@ -361,7 +336,7 @@ def _corrections(k: int, corrected: bool) -> list[float]:
 
 
 def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
-           corrected: bool, op: DiscreteTimeOperator | None):
+           corrected: bool):
     """March the data rho[b] (rows of a trials x dim block) of ``problem``.
 
     Returns (tau, decay, w, residuals) with w of shape (N+1, trials, dim)
@@ -373,11 +348,7 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     if N < k:
         raise ParameterDomainError(f"need N >= k = {k}, got N = {N}")
     tau = problem.T / N
-    if op is None:
-        op = discretize(problem.time_op, k, tau, N)
-    else:
-        check_operator(op, problem.time_op, k, tau, N)
-    S = op.untempered_weights[:N + 1]
+    S = discretize(problem.time_op, k, tau, N).untempered_weights
     w, residuals = _untempered_march(problem.A, S, rho, _corrections(k, corrected))
     decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
     w *= decay[:, None, None]
@@ -394,11 +365,12 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     data, so they are computed once for the block, and the reciprocals
     R = 1/(S^ + lam_i) (:func:`_reciprocal_series`) do not depend on the
     corrections either: a caller marching several data with the same S^
-    and operator may pass R.  A residual above :data:`RESIDUAL_BOUND`
-    raises InternalConsistencyError.
+    and operator may pass R.  Weights with S^_0 <= 0 or a non-finite entry
+    (a scale b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError;
+    a residual above :data:`RESIDUAL_BOUND` raises InternalConsistencyError.
     """
-    if S[0] <= 0.0:
-        raise ParameterDomainError(f"zero weight must be > 0, got {S[0]!r}")
+    if not (S[0] > 0.0 and np.isfinite(S).all()):
+        raise ParameterDomainError(f"weights must be finite with S_0 > 0, got S_0 = {S[0]!r}")
     d = np.ones(len(S))
     d[0] = 0.0
     d[1:1 + len(corrections)] += corrections
@@ -655,10 +627,10 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     # validates lam, rho, T and every sigma
     problems = [scalar_problem(lam, alpha, sigma, rho, T) for sigma, _ in variants]
     N_list = _refinement_path(N_list)
+    if N_list[0] < k:
+        raise ParameterDomainError(f"need N >= k = {k}, got N = {N_list[0]}")
     max_residual = None
     if precision is None:
-        if N_list[0] < k:
-            raise ParameterDomainError(f"need N >= k = {k}, got N = {N_list[0]}")
         exact = {sigma: exact_scalar_solution(lam, alpha, sigma, rho, T)
                  for sigma in {p.sigma for p in problems}}
         A = problems[0].A
@@ -739,7 +711,7 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     rng = np.random.default_rng(seed)
     A = problem.A
     eps0 = amplitude * rng.standard_normal((perturbations, A.dim))
-    tau, decay, w, residuals = _march(problem, k, N, eps0, True, None)
+    tau, decay, w, residuals = _march(problem, k, N, eps0, True)
     # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
     # that no second full-size array is live beside w.
     w, decay = w[1:], decay[1:]

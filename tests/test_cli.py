@@ -173,6 +173,15 @@ def test_converge_rejects_bad_precision(capsys, precision):
     assert "precision" in json.loads(captured.err)["error"]
 
 
+def test_converge_twin_rejects_grids_coarser_than_the_order(capsys):
+    code = main(["converge", "--k", "5", "--alpha", "0.5", "--n-list", "2,4",
+                 "--precision", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need N >= k" in json.loads(captured.err)["error"]
+
+
 def test_converge_high_precision_json(capsys):
     code, out = run_cli(capsys, "converge", "--k", "5", "--alpha", "0.5",
                         "--n-list", "32,64,128", "--precision", "30",
@@ -190,6 +199,7 @@ _NAN, _INF = float("nan"), float("inf")
 _SCALAR = {"variant": "scalar", "value": 1.0}
 _TRI = {"variant": "tridiagonal", "size": 4}
 _SINGLE = {"variant": "single_term", "alpha": 0.5}
+_HUGE = 10 ** 400        # valid JSON, beyond float range
 
 #: Malformed configs, each with a fragment of the error message it must give.
 MALFORMED_CONFIGS = {
@@ -220,6 +230,17 @@ MALFORMED_CONFIGS = {
     "nan-dense-matrix": ({"operator": _SINGLE,
                           "spatial": {"variant": "dense_spd", "matrix": [[1.0, _NAN], [_NAN, 1.0]]},
                           "rho": [1.0, 1.0], "T": 1.0}, "finite"),
+    "huge-T": ({"operator": _SINGLE, "spatial": _SCALAR, "rho": 1.0, "T": _HUGE},
+               "too large"),
+    "huge-length": ({"operator": _SINGLE, "spatial": {**_TRI, "length": _HUGE},
+                     "rho": [1.0] * 4, "T": 1.0}, "too large"),
+    "huge-amplitude": ({"operator": _SINGLE, "spatial": _TRI,
+                        "rho": {"profile": "sin", "amplitude": _HUGE}, "T": 1.0}, "too large"),
+    "huge-sigma": ({"operator": {**_SINGLE, "sigma": _HUGE}, "spatial": _SCALAR,
+                    "rho": 1.0, "T": 1.0}, "too large"),
+    # b * tau^(-alpha) = 1e308 * 8^0.5 overflows
+    "overflowing-term-weight": ({"operator": {"variant": "multi_term", "terms": [[1e308, 0.5]]},
+                                 "spatial": _SCALAR, "rho": 1.0, "T": 1}, "must be finite"),
 }
 
 

@@ -1,8 +1,7 @@
 """Fast paths against the plain paths they replace, and the residual gate.
 
 * the shared refinement path of the convergence check against independent
-  runs (the float64 harness loop as it was, kept here verbatim, and
-  per-grid twin errors);
+  runs (one plain step_solve per grid, and per-grid twin errors);
 * the blocked residuals against the per-trial loop (kept here verbatim);
 * the LDL^T tridiagonal solve against banded Cholesky;
 * the residual bound, tripped by a corrupted march;
@@ -20,14 +19,12 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from fracbdf import (DiscreteTimeOperator, FracParams, FractionalOperatorSpec,
-                     InternalConsistencyError, ParameterDomainError, SingleTerm,
-                     SubdiffusionProblem, TridiagonalLaplacian, bdf_l_coefficients,
-                     convergence_harness, multiplier_energy_check,
+from fracbdf import (FractionalOperatorSpec, InternalConsistencyError, MultiTerm,
+                     ParameterDomainError, ScalarOperator, SingleTerm, SubdiffusionProblem,
+                     TridiagonalLaplacian, convergence_harness, multiplier_energy_check,
                      positivity_generating_function, scalar_problem, stability,
                      stability_experiment, stability_refinement, step_solve, solver)
 from fracbdf.cli import main
-from fracbdf.coefficients import tempered_table
 from fracbdf.highprec import terminal_error_mp
 from fracbdf.solver import _BLOCK, _path_reports, _untempered_march
 from fracbdf.special import exact_scalar_solution
@@ -38,19 +35,11 @@ from fracbdf.special import exact_scalar_solution
 # ---------------------------------------------------------------------------
 
 def reference_float_errors(k, alpha, sigma, lam, N_list, corrected, rho=1.0, T=1.0):
-    """The float64 loop of convergence_harness before the path was shared."""
+    """Terminal errors of one plain step_solve per grid."""
     problem = scalar_problem(lam, alpha, sigma, rho, T)
     exact = exact_scalar_solution(lam, alpha, sigma, rho, T)
-    l = bdf_l_coefficients(k, alpha, N_list[-1])
-    errors = []
-    for N in N_list:
-        tau = problem.T / N
-        table = tempered_table(k, FracParams(alpha, problem.sigma, tau), l[:N + 1])
-        op = DiscreteTimeOperator(k=k, tau=tau, sigma=problem.sigma,
-                                  scales=(tau ** (-alpha),), tables=(table,))
-        u = step_solve(problem, k, N, corrected=corrected, op=op).terminal[0]
-        errors.append(abs(float(u) - exact))
-    return errors
+    return [abs(float(step_solve(problem, k, N, corrected=corrected).terminal[0]) - exact)
+            for N in N_list]
 
 
 SIGMAS = (0.0, 0.5, 2.0)
@@ -85,8 +74,9 @@ def test_shared_twin_path_is_bitwise_independent_runs(k):
 def test_shared_path_validates_like_the_harness():
     with pytest.raises(ParameterDomainError):
         _path_reports(3, 0.5, 1.0, (8, 16), ((0.0, True), (-1.0, True)))
-    with pytest.raises(ParameterDomainError):
-        _path_reports(3, 0.5, 1.0, (2, 4), ((0.0, True),))      # N < k
+    for precision in (None, 30):                                # N < k
+        with pytest.raises(ParameterDomainError, match="need N >= k"):
+            _path_reports(3, 0.5, 1.0, (2, 4), ((0.0, True),), precision=precision)
     with pytest.raises(ParameterDomainError):
         _path_reports(3, 0.5, 1.0, (16, 8), ((0.0, True),))
 
@@ -236,6 +226,16 @@ def test_cli_reports_a_tripped_gate_as_json(monkeypatch, capsys, tmp_path):
     assert code == 3 and captured.out == ""
     payload = json.loads(captured.err)
     assert payload["kind"] == "error" and "step 5 of trial 0" in payload["error"]
+
+
+def test_overflowing_weights_are_bad_input():
+    # b * tau^(-alpha) = 1e308 * 8^0.5 overflows to inf
+    problem = SubdiffusionProblem(A=ScalarOperator(1.0), rho=[1.0], T=1.0,
+                                  time_op=FractionalOperatorSpec(MultiTerm(((1e308, 0.5),))))
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        step_solve(problem, 2, 8)
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        stability_experiment(problem, 2, 8, perturbations=2)
 
 
 def test_perturbation_records_carry_max_residual():

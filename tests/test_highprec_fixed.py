@@ -9,8 +9,7 @@ from fracbdf import ParameterDomainError, bdf_polynomial, convergence_harness
 from fracbdf.coefficients import check_alpha, check_order
 from fracbdf import highprec
 from fracbdf.highprec import (_GUARD, _LEAF, _march_fixed, _to_fixed, fixed_bits,
-                              scalar_weights_mp, solve_scalar_mp, terminal_error_mp,
-                              terminal_errors_mp)
+                              scalar_weights_mp, solve_scalar_mp, terminal_error_mp)
 from fracbdf.solver import correction_weights
 
 
@@ -77,8 +76,10 @@ def test_fixed_point_weights_match_mpf_reference(k):
 
 def test_shared_weights_and_exact_value_change_nothing():
     args = (5, 0.5, 1.0, 1.0, 1.0, 1.0)
-    path = terminal_errors_mp(*args, (16, 32, 64), dps=30)
-    assert path == [terminal_error_mp(*args, N, dps=30) for N in (16, 32, 64)]
+    k, alpha, sigma, lam, rho, T = args
+    path = convergence_harness(k, alpha, sigma, lam, (16, 32, 64), rho=rho, T=T,
+                               precision=30).errors
+    assert list(path) == [terminal_error_mp(*args, N, dps=30) for N in (16, 32, 64)]
 
 
 def test_supplied_weights_must_cover_all_steps():

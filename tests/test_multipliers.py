@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (FracParams, ParameterDomainError, bdf_g_coefficients,
                      multiplier_set, q_coefficients, reciprocal_series)
-from fracbdf.multipliers import _closed_form_ratio, _closed_form_reciprocal
+from fracbdf.multipliers import _closed_form_ratio
 
 
 def test_multiplier_tables_exact():
@@ -31,10 +31,10 @@ def test_bdf6_roots_closed_form():
 
 
 def test_reciprocal_closed_forms_at_reference_points():
-    assert _closed_form_reciprocal(6, 0) == 1
-    assert _closed_form_reciprocal(6, 1) == Fraction(43, 30)
-    assert _closed_form_reciprocal(5, 2) == Fraction(3, 4)
-    assert _closed_form_reciprocal(3, 3) == Fraction(1, 8)
+    assert Fraction(*_closed_form_ratio(6, 0)) == 1
+    assert Fraction(*_closed_form_ratio(6, 1)) == Fraction(43, 30)
+    assert Fraction(*_closed_form_ratio(5, 2)) == Fraction(3, 4)
+    assert Fraction(*_closed_form_ratio(3, 3)) == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
