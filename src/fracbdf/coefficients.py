@@ -11,21 +11,23 @@ the generating power series
 so the pure-fractional part l_j is the coefficient sequence of the alpha-th
 power of the classical k-step BDF characteristic polynomial.
 
-Two independent generation paths are provided:
+Both generation paths start from the exact polynomial
+:func:`bdf_polynomial` and differ in their arithmetic:
 
-* :func:`bdf_l_coefficients` uses per-order recurrences with closed-form
-  starting values (hard-coded rational constants, O(J*k) work);
-* :func:`series_oracle` expands the inner polynomial exactly via binomial
-  coefficients and raises it to the power alpha with the classical
-  power-of-a-series (J.C.P. Miller) recurrence.
+* :func:`bdf_l_coefficients` evaluates starting values l_1..l_{k-1} from
+  polynomials in alpha with exact rational coefficients, then runs the
+  power-of-a-series (J.C.P. Miller) recurrence in floats with the
+  normalized factors -p_m/p_0 (O(J*k) work);
+* :func:`series_oracle` runs the unnormalized recurrence in floats from
+  l_0 alone, dividing each sum by j*p_0.
 
 The two must agree to near machine precision; the test suite enforces this
-for every order, which guards against transcription errors in the long
-closed forms.
+for every order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,65 +37,6 @@ import numpy as np
 from .errors import ParameterDomainError
 
 VALID_ORDERS = (1, 2, 3, 4, 5, 6)
-
-# Leading coefficient of the BDF-k characteristic polynomial, i.e. the
-# harmonic number H_k; l_0 = H_k^alpha.
-_LEADING = {
-    1: Fraction(1),
-    2: Fraction(3, 2),
-    3: Fraction(11, 6),
-    4: Fraction(25, 12),
-    5: Fraction(137, 60),
-    6: Fraction(147, 60),
-}
-
-# Starting values l_1 .. l_{k-1} as polynomials in alpha (ascending powers,
-# constant term zero) relative to l_0:  l_i = l_0 * sum_p c_p alpha^p.
-_START = {
-    1: (),
-    2: ((Fraction(-4, 3),),),
-    3: (
-        (Fraction(-18, 11),),
-        (Fraction(-63, 121), Fraction(162, 121)),
-    ),
-    4: (
-        (Fraction(-48, 25),),
-        (Fraction(-252, 625), Fraction(1152, 625)),
-        (Fraction(-3664, 15625), Fraction(12096, 15625), Fraction(-18432, 15625)),
-    ),
-    5: (
-        (Fraction(-300, 137),),
-        (Fraction(-3900, 18769), Fraction(45000, 18769)),
-        (Fraction(-423800, 2571353), Fraction(1170000, 2571353),
-         Fraction(-4500000, 2571353)),
-        (Fraction(-103893525, 352275361), Fraction(134745000, 352275361),
-         Fraction(-175500000, 352275361), Fraction(337500000, 352275361)),
-    ),
-    6: (
-        (Fraction(-360, 147),),
-        (Fraction(150, 2401), Fraction(7200, 2401)),
-        (Fraction(-42400, 352947), Fraction(-18000, 117649),
-         Fraction(-288000, 117649)),
-        (Fraction(-2603575, 5764801), Fraction(1707250, 5764801),
-         Fraction(1080000, 5764801), Fraction(8640000, 5764801)),
-        (Fraction(-94994224, 282475249), Fraction(310309000, 282475249),
-         Fraction(-14730000, 40353607), Fraction(-43200000, 282475249),
-         Fraction(-207360000, 282475249)),
-    ),
-}
-
-# Recurrence factors f_1 .. f_k for j >= k:
-#   l_j = sum_m f_m * s_m * (1 - m*(alpha+1)/j) * l_{j-m},   s_m = (-1)^(m+1).
-_RECURRENCE = {
-    1: (Fraction(1),),
-    2: (Fraction(4, 3), Fraction(1, 3)),
-    3: (Fraction(18, 11), Fraction(18, 22), Fraction(2, 11)),
-    4: (Fraction(48, 25), Fraction(36, 25), Fraction(16, 25), Fraction(3, 25)),
-    5: (Fraction(300, 137), Fraction(300, 137), Fraction(200, 137),
-        Fraction(75, 137), Fraction(12, 137)),
-    6: (Fraction(360, 147), Fraction(450, 147), Fraction(400, 147),
-        Fraction(225, 147), Fraction(72, 147), Fraction(10, 147)),
-}
 
 
 def check_order(k: int) -> int:
@@ -160,14 +103,36 @@ def bdf_polynomial(k: int) -> list[Fraction]:
     return p
 
 
+@functools.cache
+def _recurrence(k: int) -> tuple[Fraction, tuple[Fraction, ...],
+                                 tuple[tuple[Fraction, ...], ...]]:
+    """p_0, f_m = -p_m/p_0 and the starts l_j/l_0 (j < k) of the recurrence
+    l_j = sum_{m=1}^{min(j,k)} f_m (1 - m(alpha+1)/j) l_{j-m}, run in exact
+    rationals: polynomials in ascending powers of alpha, zero constant dropped.
+    """
+    p = bdf_polynomial(k)
+    factors = tuple(-c / p[0] for c in p[1:])
+    starts = [(Fraction(1),)]
+    for j in range(1, k):
+        poly = [Fraction(0)] * (j + 1)
+        for m, f in enumerate(factors[:j], start=1):
+            a, b = f * (1 - Fraction(m, j)), -f * Fraction(m, j)
+            for i, c in enumerate(starts[j - m]):
+                poly[i] += a * c
+                poly[i + 1] += b * c
+        starts.append(tuple(poly))
+    return p[0], factors, tuple(poly[1:] for poly in starts[1:])
+
+
 def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
-    """Weights l_0..l_J by the order-k recurrence with closed-form starts.
+    """Weights l_0..l_J by the order-k recurrence with exact-rational starts.
 
-    The starting values l_0..l_{k-1} are evaluated from their closed forms
-    (polynomials in alpha times the common factor H_k^alpha); subsequent
-    entries use the k-term recurrence.  Work is O(J*k).
+    The starting values l_0..l_{k-1} are p_0^alpha times polynomials in
+    alpha whose rational coefficients the recurrence yields exactly
+    (:func:`_recurrence`); subsequent entries use the k-term recurrence
+    with the normalized factors -p_m/p_0.  Work is O(J*k).
 
-    The recurrence coefficients f_m s_m (1 - m(alpha+1)/j) are computed as
+    The recurrence coefficients f_m (1 - m(alpha+1)/j) are computed as
     arrays; each l_j is then accumulated in Python floats over m = 1..k,
     left to right from 0.0.  That order is fixed, so the output is bitwise
     stable (``sum()`` is not used: it compensates float sums on Python 3.12).
@@ -176,17 +141,17 @@ def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
     check_alpha(alpha)
     if J < 0:
         raise ParameterDomainError(f"J must be >= 0, got {J!r}")
-    l0 = float(_LEADING[k]) ** alpha
+    p0, factors, starts = _recurrence(k)
+    l0 = float(p0) ** alpha
     l = [l0]
-    for poly in _START[k][:J]:
+    for poly in starts[:J]:
         acc = 0.0
         for c in reversed(poly):        # Horner in alpha, constant term 0
             acc = (acc + float(c)) * alpha
         l.append(l0 * acc)
     js = np.arange(k, J + 1, dtype=float)
     ap1 = alpha + 1.0
-    cols = [float(f) * (-1.0) ** (m + 1) * (1.0 - m * ap1 / js)
-            for m, f in enumerate(_RECURRENCE[k], start=1)]
+    cols = [float(f) * (1.0 - m * ap1 / js) for m, f in enumerate(factors, start=1)]
     coefs = np.stack(cols, axis=1)
     for lo in range(0, len(coefs), 512):    # bounds the Python-float rows held
         for coef in coefs[lo:lo + 512].tolist():

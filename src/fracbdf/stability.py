@@ -40,6 +40,7 @@ energy inequality and the q quadratic form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,28 +49,13 @@ import numpy as np
 from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh, eigvals_banded,
                           eigvalsh, toeplitz)
 
-from .coefficients import check_alpha, check_order, check_sigma_tau
+from .coefficients import bdf_polynomial, check_alpha, check_order, check_sigma_tau
 from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
 from .multipliers import QTable, multiplier_set
 
 #: Energy constants c_k of the multiplier lower bound.
 ENERGY_CONSTANTS = {3: Fraction(1, 2), 4: Fraction(1, 2),
                     5: Fraction(1, 4), 6: Fraction(1, 24)}
-
-#: Diagonal entry of the symmetrized band matrix; equals 1 - c_k.
-_BAND_DIAGONAL = {3: Fraction(1, 2), 4: Fraction(1, 2),
-                  5: Fraction(3, 4), 6: Fraction(23, 24)}
-
-# Residual polynomial R_k with (1 - z) * R_k(z) equal to the BDF-k
-# characteristic polynomial (ascending powers).
-_RESIDUAL = {
-    3: (Fraction(11, 6), Fraction(-7, 6), Fraction(1, 3)),
-    4: (Fraction(25, 12), Fraction(-23, 12), Fraction(13, 12), Fraction(-1, 4)),
-    5: (Fraction(137, 60), Fraction(-163, 60), Fraction(137, 60),
-        Fraction(-63, 60), Fraction(1, 5)),
-    6: (Fraction(147, 60), Fraction(-213, 60), Fraction(237, 60),
-        Fraction(-163, 60), Fraction(62, 60), Fraction(-1, 6)),
-}
 
 # Linear factors (c, multiplicity) with prod (1 - c*z)^mult == mu(z).
 _RECIPROCAL_FACTORS = {
@@ -120,7 +106,7 @@ def positivity_generating_function(k: int, sigma: float = 0.0,
     check_sigma_tau(sigma, tau)
     damp = math.exp(-sigma * tau)
     mu = multiplier_set(k).mu_float
-    coeffs = [float(_BAND_DIAGONAL[k])]
+    coeffs = [float(1 - ENERGY_CONSTANTS[k])]
     coeffs += [-m * damp ** j for j, m in enumerate(mu, start=1)]
     return TrigPolynomial(tuple(coeffs))
 
@@ -379,7 +365,8 @@ def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
 # ---------------------------------------------------------------------------
 
 def _residual_values(k: int, z: np.ndarray) -> np.ndarray:
-    coeffs = [float(c) for c in _RESIDUAL[k]]
+    """R_k(z) with (1 - z) R_k(z) the BDF-k polynomial: r_m = p_0 + ... + p_m."""
+    coeffs = [float(c) for c in itertools.accumulate(bdf_polynomial(k)[:k])]
     out = np.full_like(z, coeffs[-1], dtype=complex)
     for c in reversed(coeffs[:-1]):
         out = out * z + c

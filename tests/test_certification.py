@@ -181,7 +181,7 @@ def test_planted_indefinite_quadratic_form_has_witness(dim):
 
 
 def test_planted_indefinite_energy_form_has_witness(monkeypatch):
-    monkeypatch.setitem(stability._BAND_DIAGONAL, 6, Fraction(1, 10))
+    monkeypatch.setitem(stability.ENERGY_CONSTANTS, 6, Fraction(9, 10))
     N, dim = 40, 2
     chk = multiplier_energy_check(6, N=N, dim=dim)
     assert not chk.verdict

@@ -127,9 +127,80 @@ def test_invalid_params_rejected():
         bdf_l_coefficients(2, 0.5, -1)
 
 
+# Hand-transcribed closed forms of the order-k recurrence, kept as the
+# reference for the values derived from bdf_polynomial.
+# Leading coefficient of the BDF-k characteristic polynomial, i.e. the
+# harmonic number H_k; l_0 = H_k^alpha.
+_LEADING = {
+    1: Fraction(1),
+    2: Fraction(3, 2),
+    3: Fraction(11, 6),
+    4: Fraction(25, 12),
+    5: Fraction(137, 60),
+    6: Fraction(147, 60),
+}
+
+# Starting values l_1 .. l_{k-1} as polynomials in alpha (ascending powers,
+# constant term zero) relative to l_0:  l_i = l_0 * sum_p c_p alpha^p.
+_START = {
+    1: (),
+    2: ((Fraction(-4, 3),),),
+    3: (
+        (Fraction(-18, 11),),
+        (Fraction(-63, 121), Fraction(162, 121)),
+    ),
+    4: (
+        (Fraction(-48, 25),),
+        (Fraction(-252, 625), Fraction(1152, 625)),
+        (Fraction(-3664, 15625), Fraction(12096, 15625), Fraction(-18432, 15625)),
+    ),
+    5: (
+        (Fraction(-300, 137),),
+        (Fraction(-3900, 18769), Fraction(45000, 18769)),
+        (Fraction(-423800, 2571353), Fraction(1170000, 2571353),
+         Fraction(-4500000, 2571353)),
+        (Fraction(-103893525, 352275361), Fraction(134745000, 352275361),
+         Fraction(-175500000, 352275361), Fraction(337500000, 352275361)),
+    ),
+    6: (
+        (Fraction(-360, 147),),
+        (Fraction(150, 2401), Fraction(7200, 2401)),
+        (Fraction(-42400, 352947), Fraction(-18000, 117649),
+         Fraction(-288000, 117649)),
+        (Fraction(-2603575, 5764801), Fraction(1707250, 5764801),
+         Fraction(1080000, 5764801), Fraction(8640000, 5764801)),
+        (Fraction(-94994224, 282475249), Fraction(310309000, 282475249),
+         Fraction(-14730000, 40353607), Fraction(-43200000, 282475249),
+         Fraction(-207360000, 282475249)),
+    ),
+}
+
+# Recurrence factors f_1 .. f_k for j >= k:
+#   l_j = sum_m f_m * s_m * (1 - m*(alpha+1)/j) * l_{j-m},   s_m = (-1)^(m+1).
+_RECURRENCE = {
+    1: (Fraction(1),),
+    2: (Fraction(4, 3), Fraction(1, 3)),
+    3: (Fraction(18, 11), Fraction(18, 22), Fraction(2, 11)),
+    4: (Fraction(48, 25), Fraction(36, 25), Fraction(16, 25), Fraction(3, 25)),
+    5: (Fraction(300, 137), Fraction(300, 137), Fraction(200, 137),
+        Fraction(75, 137), Fraction(12, 137)),
+    6: (Fraction(360, 147), Fraction(450, 147), Fraction(400, 147),
+        Fraction(225, 147), Fraction(72, 147), Fraction(10, 147)),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_derived_recurrence_equals_transcribed_tables(k):
+    from fracbdf.coefficients import _recurrence
+    p0, factors, starts = _recurrence(k)
+    assert p0 == _LEADING[k]
+    assert starts == _START[k]
+    assert factors == tuple(f * (-1) ** (m + 1)
+                            for m, f in enumerate(_RECURRENCE[k], start=1))
+
+
 def _reference_l_coefficients(k, alpha, J):
     """The scalar-indexed recurrence loop, kept as the bitwise reference."""
-    from fracbdf.coefficients import _LEADING, _RECURRENCE, _START
     l0 = float(_LEADING[k]) ** alpha
     l = np.empty(J + 1)
     l[0] = l0

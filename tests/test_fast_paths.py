@@ -287,7 +287,7 @@ def test_cli_stability_reports_max_residual(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_large_failing_band_witness_by_inverse_iteration(monkeypatch):
-    monkeypatch.setitem(stability._BAND_DIAGONAL, 6, Fraction(1, 10))
+    monkeypatch.setitem(stability.ENERGY_CONSTANTS, 6, Fraction(9, 10))
     N = 4000
     t0 = time.perf_counter()
     chk = multiplier_energy_check(6, N=N)

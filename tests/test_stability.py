@@ -13,7 +13,7 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      q_coefficients, quadrature_positivity_check,
                      stability_report, toeplitz_band, toeplitz_eigencheck,
                      trig_max, trig_min)
-from fracbdf.stability import (_RECIPROCAL_FACTORS, _RESIDUAL, _factored_angles,
+from fracbdf.stability import (_RECIPROCAL_FACTORS, _factored_angles, _residual_values,
                                _sweep_angles)
 
 HALF_PI = math.pi / 2.0
@@ -22,6 +22,21 @@ HALF_PI = math.pi / 2.0
 # ---------------------------------------------------------------------------
 # structural identities behind the factored forms
 # ---------------------------------------------------------------------------
+
+# Hand-transcribed residual polynomials R_k (ascending powers) and band
+# diagonals 1 - c_k, kept as the reference for the values derived from
+# bdf_polynomial and ENERGY_CONSTANTS.
+_RESIDUAL = {
+    3: (Fraction(11, 6), Fraction(-7, 6), Fraction(1, 3)),
+    4: (Fraction(25, 12), Fraction(-23, 12), Fraction(13, 12), Fraction(-1, 4)),
+    5: (Fraction(137, 60), Fraction(-163, 60), Fraction(137, 60),
+        Fraction(-63, 60), Fraction(1, 5)),
+    6: (Fraction(147, 60), Fraction(-213, 60), Fraction(237, 60),
+        Fraction(-163, 60), Fraction(62, 60), Fraction(-1, 6)),
+}
+_BAND_DIAGONAL = {3: Fraction(1, 2), 4: Fraction(1, 2),
+                  5: Fraction(3, 4), 6: Fraction(23, 24)}
+
 
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
 def test_residual_factorization_is_exact(k):
@@ -32,6 +47,19 @@ def test_residual_factorization_is_exact(k):
         prod[m] += c
         prod[m + 1] -= c
     assert prod == bdf_polynomial(k)
+
+
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+def test_derived_residual_and_band_diagonal_equal_tables(k):
+    p = bdf_polynomial(k)
+    assert [sum(p[:m + 1]) for m in range(k)] == list(_RESIDUAL[k])
+    assert 1 - ENERGY_CONSTANTS[k] == _BAND_DIAGONAL[k]
+    assert positivity_generating_function(k).coeffs[0] == float(_BAND_DIAGONAL[k])
+    z = 0.9 * np.exp(1j * np.linspace(0.0, math.pi, 257))
+    ref = np.full_like(z, float(_RESIDUAL[k][-1]))
+    for c in reversed(_RESIDUAL[k][:-1]):
+        ref = ref * z + float(c)
+    assert _residual_values(k, z).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
