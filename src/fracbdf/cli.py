@@ -61,7 +61,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ParameterDomainError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_coeffs(args) -> int:
@@ -366,7 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterDomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterDomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _error(exc, 2)
     except InternalConsistencyError as exc:
         return _error(exc, 3)

@@ -258,6 +258,9 @@ def operator_spec_from_dict(d: dict) -> FractionalOperatorSpec:
     name = d.get("weight", "constant")
     params = dict(d.get("weight_params", {}))
     if name == "dirac_comb":
+        if set(params) - {"terms"} or "nodes" in d:
+            raise ParameterDomainError(
+                "a dirac_comb weight takes only the weight_params key 'terms' and no 'nodes'")
         terms = tuple((float(b), float(a)) for b, a in params.get("terms", ()))
         return FractionalOperatorSpec(MultiTerm(terms=terms), sigma=sigma)
     if name not in WEIGHT_FUNCTIONS:

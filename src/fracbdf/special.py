@@ -104,7 +104,7 @@ def mittag_leffler(alpha: float, z: float, method: str = "auto") -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if z > 0.0:
+    if not z <= 0.0:
         raise ParameterDomainError(f"only z <= 0 is supported, got {z!r}")
     if method not in ("auto", "series", "integral"):
         raise ParameterDomainError(f"unknown method {method!r}")
@@ -137,12 +137,14 @@ def mittag_leffler(alpha: float, z: float, method: str = "auto") -> float:
 def exact_scalar_solution(lam: float, alpha: float, sigma: float, rho: float,
                           t: float) -> float:
     """u(t) = e^(-sigma*t) E_alpha(-lam * t^alpha) * rho for the scalar model."""
-    if lam <= 0.0:
-        raise ParameterDomainError(f"lam must be > 0, got {lam!r}")
-    if sigma < 0.0:
-        raise ParameterDomainError(f"sigma must be >= 0, got {sigma!r}")
-    if t < 0.0:
-        raise ParameterDomainError(f"t must be >= 0, got {t!r}")
+    if not 0.0 < lam < math.inf:
+        raise ParameterDomainError(f"lam must be finite and > 0, got {lam!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise ParameterDomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterDomainError(f"t must be finite and >= 0, got {t!r}")
+    if not math.isfinite(rho):
+        raise ParameterDomainError(f"rho must be finite, got {rho!r}")
     if t == 0.0:
         return float(rho)
     return math.exp(-sigma * t) * mittag_leffler(alpha, -lam * t ** alpha) * rho

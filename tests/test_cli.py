@@ -142,6 +142,36 @@ def test_error_reporting(capsys):
     assert "BDF order" in payload["error"]
 
 
+@pytest.mark.parametrize("case", ("converge-n-list", "stability-n-list",
+                                  "config-directory", "config-not-utf8", "config-missing",
+                                  "out-directory"))
+def test_bad_cli_input_is_json_error(capsys, tmp_path, case):
+    cfg = _solve_config(tmp_path)
+    argv = {
+        "converge-n-list": ["converge", "--k", "3", "--alpha", "0.5", "--n-list", "a,b"],
+        "stability-n-list": ["stability", "--config", cfg, "--k", "3", "--n-list", "64,x"],
+        "config-directory": ["solve", "--config", str(tmp_path), "--k", "2", "--n", "8"],
+        "config-not-utf8": ["solve", "--config", cfg, "--k", "2", "--n", "8"],
+        "config-missing": ["solve", "--config", str(tmp_path / "none.json"),
+                           "--k", "2", "--n", "8"],
+        "out-directory": ["solve", "--config", cfg, "--k", "2", "--n", "8",
+                          "--out", str(tmp_path)],
+    }[case]
+    if case == "config-not-utf8":
+        (tmp_path / "prob.json").write_bytes(b'{"T": "\xff\xfe"}')
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["kind"] == "error"
+
+
+def test_bad_matrix_size_list_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-positivity", "--k", "6", "--N", "10,abc"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def _solve_config(tmp_path, sigma=0.0, T=1.0):
     # json writes float('nan') and float('inf') as NaN and Infinity, which
     # json.load reads back.
@@ -227,6 +257,14 @@ MALFORMED_CONFIGS = {
                                            "weight": "constant", "weight_params": {"q": 1.0}},
                               "spatial": _SCALAR, "rho": 1.0, "T": 1.0},
                              "malformed config"),
+    "dirac-comb-unknown-param": ({"operator": {"variant": "distributed_order",
+                                               "weight": "dirac_comb",
+                                               "weight_params": {"terms": [[1.0, 0.5]],
+                                                                 "typo": 3}},
+                                  "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "dirac_comb"),
+    "dirac-comb-nodes": ({"operator": {"variant": "distributed_order", "weight": "dirac_comb",
+                                       "weight_params": {"terms": [[1.0, 0.5]]}, "nodes": 7},
+                          "spatial": _SCALAR, "rho": 1.0, "T": 1.0}, "dirac_comb"),
     "nan-dense-matrix": ({"operator": _SINGLE,
                           "spatial": {"variant": "dense_spd", "matrix": [[1.0, _NAN], [_NAN, 1.0]]},
                           "rho": [1.0, 1.0], "T": 1.0}, "finite"),

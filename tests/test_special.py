@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fracbdf import ParameterDomainError, mittag_leffler
+from fracbdf import ParameterDomainError, exact_scalar_solution, mittag_leffler
 from fracbdf.special import _integral, _series_profile
 
 
@@ -76,3 +76,13 @@ def test_domain_errors():
         mittag_leffler(1.5, -1.0)
     with pytest.raises(ParameterDomainError):
         mittag_leffler(0.5, -1.0, method="cheat")
+    with pytest.raises(ParameterDomainError):
+        mittag_leffler(0.5, math.nan)
+
+
+@pytest.mark.parametrize("field", ("lam", "sigma", "rho", "t"))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_exact_solution_rejects_non_finite_inputs(field, value):
+    args = {"lam": 2.0, "alpha": 0.5, "sigma": 0.1, "rho": 1.0, "t": 1.0, field: value}
+    with pytest.raises(ParameterDomainError, match=field):
+        exact_scalar_solution(**args)
