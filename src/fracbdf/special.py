@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from .coefficients import check_alpha
 from .errors import InternalConsistencyError, ParameterDomainError
 
 _SERIES_CUTOFF = 5.0
@@ -145,6 +146,7 @@ def exact_scalar_solution(lam: float, alpha: float, sigma: float, rho: float,
         raise ParameterDomainError(f"t must be finite and >= 0, got {t!r}")
     if not math.isfinite(rho):
         raise ParameterDomainError(f"rho must be finite, got {rho!r}")
+    check_alpha(alpha)
     if t == 0.0:
         return float(rho)
     return math.exp(-sigma * t) * mittag_leffler(alpha, -lam * t ** alpha) * rho

@@ -86,3 +86,8 @@ def test_exact_solution_rejects_non_finite_inputs(field, value):
     args = {"lam": 2.0, "alpha": 0.5, "sigma": 0.1, "rho": 1.0, "t": 1.0, field: value}
     with pytest.raises(ParameterDomainError, match=field):
         exact_scalar_solution(**args)
+
+
+def test_exact_solution_checks_alpha_at_t0():
+    with pytest.raises(ParameterDomainError):
+        exact_scalar_solution(2.0, math.nan, 0.1, 1.0, 0.0)
