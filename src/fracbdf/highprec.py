@@ -17,12 +17,15 @@ quotient or rescale rounds once toward -infinity.
 * The weights l_j of p(z)^alpha come from the power-of-a-series recurrence
   in integers: the p_m are scaled by their common denominator and alpha is
   the exact dyadic fraction of its float.
-* The tempering e^(-sigma tau j) and the decay e^(-sigma n tau) are
-  repeated fixed-point products of e^(-sigma tau).
+* Tempering is taken out as in the float64 path: e^(sigma t) u solves the
+  untempered problem, so the march uses the weights l_j themselves and no
+  sigma, and sigma enters once, as the factor e^(-sigma T) of the terminal
+  value.  One march serves every sigma.
 * The step equation is divided by tau^(-alpha), so only mu = lam tau^alpha
-  enters, and rho is factored out by linearity, so the marched v = w / rho
-  is O(1) and the fixed-point scale fits every grid.
-* The histories H_n = sum_{j>=1} g_j v_(n-j) are formed by divide and
+  enters, and rho is factored out by linearity, so the marched
+  v = e^(sigma t) u / rho - 1 is O(1) and the fixed-point scale fits every
+  grid.
+* The histories H_n = sum_{j>=1} l_j v_(n-j) are formed by divide and
   conquer over the steps, the form of the fast Toeplitz solve of Hairer,
   Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 1985): solve the left
   half of a block of steps, add its contribution to the histories of the
@@ -37,8 +40,8 @@ quotient or rescale rounds once toward -infinity.
   With CPython's Karatsuba multiplication M(N) the march costs
   O(M(N) log N) instead of the N^2/2 products of the step-by-step sums.
 
-mpmath supplies only the transcendental scalars p_0^alpha, e^(-sigma tau),
-tau^alpha and the Mittag-Leffler reference value.  Only the scalar
+mpmath supplies only the transcendental scalars p_0^alpha, tau^alpha,
+e^(-sigma T) and the Mittag-Leffler reference value.  Only the scalar
 single-term problem is provided here; production solves stay in float64.
 """
 
@@ -51,7 +54,8 @@ from mpmath import mp, mpf
 
 from .coefficients import bdf_polynomial, check_alpha, check_order
 from .errors import ParameterDomainError
-from .solver import correction_weights
+from .solver import correction_weights, scalar_problem
+from .special import mittag_leffler_mp
 
 #: Guard bits carried beyond the requested resolution.
 _GUARD = 32
@@ -70,48 +74,27 @@ def _to_fixed(x, P: int) -> int:
     return int(mp.floor(mp.ldexp(x, P)))
 
 
-def scalar_weights_mp(k: int, alpha, J: int, bits: int | None = None) -> list:
-    """Untempered weights l_0..l_J of p(z)^alpha, from the recurrence
+def scalar_weights_mp(k: int, alpha, J: int, bits: int) -> list:
+    """Fixed-point weights floor(l_j 2^bits), j = 0..J, of p(z)^alpha, from
+    the recurrence
 
         j c_0 l_j = sum_{m=1}^{min(j,k)} c_m ((alpha + 1) m - j) l_{j-m}
 
     on the integers c_m = p_m * lcm(denominators), with l_0 = p_0^alpha.
-    With ``bits`` = P the weights come back as fixed-point integers
-    floor(l_j 2^P); by default as mpf at the working precision.
     """
     check_order(k)
     check_alpha(alpha)
-    P = mp.prec + _GUARD if bits is None else bits
     p = bdf_polynomial(k)
     den = math.lcm(*(pm.denominator for pm in p))
     c = [pm.numerator * (den // pm.denominator) for pm in p]
     a = Fraction(alpha)                # exact: a float is a dyadic rational
     up, ad = a.numerator + a.denominator, a.denominator
-    with mp.workprec(P + _GUARD):
-        l = [_to_fixed((mpf(p[0].numerator) / p[0].denominator) ** mpf(alpha), P)]
+    with mp.workprec(bits + _GUARD):
+        l = [_to_fixed((mpf(p[0].numerator) / p[0].denominator) ** mpf(alpha), bits)]
     for j in range(1, J + 1):
         acc = sum(c[m] * (up * m - ad * j) * l[j - m] for m in range(1, min(j, k) + 1))
         l.append(acc // (j * ad * c[0]))
-    if bits is not None:
-        return l
-    return [mpf((x, -P)) for x in l]
-
-
-def mittag_leffler_mp(alpha, z) -> mpf:
-    """E_alpha(z) by direct series summation at the active precision."""
-    a = mpf(alpha)
-    zz = mpf(z)
-    tol = mpf(10) ** (-(mp.dps + 10))
-    total = mpf(1)
-    m = 1
-    while m <= 100000:
-        t = zz ** m / mp.gamma(a * m + 1)
-        total += t
-        if abs(t) < tol * max(mpf(1), abs(total)) and m > 4:
-            return total
-        m += 1
-    raise ParameterDomainError(
-        f"series did not converge at alpha={alpha}, z={z} with dps={mp.dps}")
+    return l
 
 
 def _biases(n: int, B: int) -> int:
@@ -156,110 +139,85 @@ def _product_slots(a: list, b: list, first: int, stop: int, memo: dict | None = 
             for s in range(first, stop)]
 
 
-def _march_fixed(l: list, k: int, alpha: float, sigma: float, lam: float,
-                 T: float, N: int, corrected: bool, P: int) -> int:
-    """Fixed-point u^N / rho from fixed-point weights l_0..l_(>=N)."""
+def _march_fixed(l: list, k: int, alpha: float, lam: float, T: float, N: int,
+                 corrected: bool, P: int) -> int:
+    """Fixed-point e^(sigma T) u^N / rho, the same for every sigma, from
+    fixed-point weights l_0..l_(>=N)."""
     with mp.workprec(P + _GUARD):
-        tau = mpf(T) / N
-        r = _to_fixed(mp.exp(-mpf(sigma) * tau), P)
-        mu = _to_fixed(mpf(lam) * tau ** mpf(alpha), P)
-    decay = [1 << P]                   # e^(-sigma n tau), n = 0..N
-    for _ in range(N):
-        decay.append(decay[-1] * r >> P)
-    g = [lj * dj >> P for lj, dj in zip(l, decay)]
-    d = decay[:]                       # d_n = e^(-sigma n tau) (1 + a_n)
-    d[0] = 0
+        mu = _to_fixed(mpf(lam) * (mpf(T) / N) ** mpf(alpha), P)
+    d = [0] + [1 << P] * N             # d_n = 1 + a_n
     if corrected:
         for n, a in zip(range(1, N + 1), correction_weights(k)):
             d[n] = d[n] * (a.numerator + a.denominator) // a.denominator
-    shift = g[0] + mu
+    shift = l[0] + mu
     v = [0] * (N + 1)
     H = [0] * (N + 1)                  # histories, accumulated block by block
-    memo = {}                          # packings of the prefixes g[1:m]
+    memo = {}                          # packings of the prefixes l[1:m]
 
     def solve_block(lo: int, hi: int) -> None:
         """v[lo:hi], given H[lo:hi] with every term from v[:lo] added."""
         if hi - lo <= _LEAF:
             for n in range(lo, hi):
-                hist = H[n] + sum(map(int.__mul__, g[1:n - lo + 1], reversed(v[lo:n])))
+                hist = H[n] + sum(map(int.__mul__, l[1:n - lo + 1], reversed(v[lo:n])))
                 v[n] = ((-(d[n] * mu >> P) - (hist >> P)) << P) // shift
             return
         mid = (lo + hi) // 2
         solve_block(lo, mid)
-        # H[n] += sum_{m=lo}^{mid-1} g_(n-m) v_m for n in [mid, hi): slots
-        # mid-lo-1 .. hi-lo-2 of the product of v[lo:mid] and g[1:hi-lo].
-        for n, h in zip(range(mid, hi), _product_slots(v[lo:mid], g[1:hi - lo],
+        # H[n] += sum_{m=lo}^{mid-1} l_(n-m) v_m for n in [mid, hi): slots
+        # mid-lo-1 .. hi-lo-2 of the product of v[lo:mid] and l[1:hi-lo].
+        for n, h in zip(range(mid, hi), _product_slots(v[lo:mid], l[1:hi - lo],
                                                        mid - lo - 1, hi - lo - 1, memo)):
             H[n] += h
         solve_block(mid, hi)
 
     solve_block(1, N + 1)
-    return v[N] + decay[N]
+    return v[N] + (1 << P)
+
+
+def _check_scalar(alpha: float, sigma: float, lam: float, rho: float, T: float, N: int) -> None:
+    """Reject what :func:`~fracbdf.solver.scalar_problem` rejects, and N < 1."""
+    scalar_problem(lam, alpha, sigma, rho, T)
+    if N < 1:
+        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
 
 
 def solve_scalar_mp(k: int, alpha: float, sigma: float, lam: float, rho: float,
-                    T: float, N: int, corrected: bool = True,
-                    dps: int = 30, *, weights: list | None = None) -> mpf:
-    """Terminal value u^N of the scalar scheme at resolution 2^-fixed_bits(dps).
-
-    ``weights`` may supply ``scalar_weights_mp(k, alpha, J, bits=fixed_bits(dps))``
-    for any J >= N, to share one weight vector across a refinement path.
-    """
-    check_order(k)
-    check_alpha(alpha)
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
+                    T: float, N: int, corrected: bool = True, dps: int = 30) -> mpf:
+    """Terminal value u^N of the scalar scheme at resolution 2^-fixed_bits(dps)."""
+    _check_scalar(alpha, sigma, lam, rho, T, N)
     P = fixed_bits(dps)
-    if weights is None:
-        weights = scalar_weights_mp(k, alpha, N, bits=P)
-    elif len(weights) < N + 1:
-        raise ParameterDomainError(
-            f"weights cover {len(weights) - 1} steps, need N = {N}")
-    u = _march_fixed(weights, k, alpha, sigma, lam, T, N, corrected, P)
+    v = _march_fixed(scalar_weights_mp(k, alpha, N, P), k, alpha, lam, T, N, corrected, P)
     with mp.workprec(P):
-        return mpf((u, -P)) * mpf(rho)
-
-
-def exact_terminal_mp(alpha: float, sigma: float, lam: float, rho: float,
-                      T: float, dps: int = 30) -> mpf:
-    """u(T) = e^(-sigma T) E_alpha(-lam T^alpha) rho at ``dps`` digits."""
-    with mp.workdps(dps):
-        tt = mpf(T)
-        return (mp.exp(-mpf(sigma) * tt)
-                * mittag_leffler_mp(alpha, -mpf(lam) * tt ** mpf(alpha)) * rho)
+        return mpf((v, -P)) * (mp.exp(-mpf(sigma) * mpf(T)) * mpf(rho))
 
 
 def terminal_error_mp(k: int, alpha: float, sigma: float, lam: float,
                       rho: float, T: float, N: int, corrected: bool = True,
-                      dps: int = 30, *, weights: list | None = None,
-                      exact=None) -> float:
-    """|u^N - u(T)| with both sides evaluated at ``dps`` digits or finer.
-
-    ``weights`` is passed to :func:`solve_scalar_mp`; ``exact`` may supply
-    :func:`exact_terminal_mp` for the same arguments.
-    """
-    u_num = solve_scalar_mp(k, alpha, sigma, lam, rho, T, N, corrected, dps,
-                            weights=weights)
-    if exact is None:
-        exact = exact_terminal_mp(alpha, sigma, lam, rho, T, dps)
-    with mp.workprec(fixed_bits(dps)):
-        return float(abs(u_num - exact))
+                      dps: int = 30) -> float:
+    """|u^N - u(T)| with both sides evaluated at ``dps`` digits or finer."""
+    _check_scalar(alpha, sigma, lam, rho, T, N)
+    return _path_errors_mp(k, alpha, lam, rho, T, (N,), ((sigma, corrected),), dps)[0][0]
 
 
 def _path_errors_mp(k: int, alpha: float, lam: float, rho: float, T: float,
                     N_list, variants, dps: int) -> list[list[float]]:
     """Terminal errors along one refinement path for every (sigma,
     corrected) in ``variants``.  The weights l_j and E_alpha(-lam T^alpha)
-    depend on neither, so each is built once; every reference value is
-    e^(-sigma T) E rho, formed as :func:`exact_terminal_mp` forms it."""
-    weights = scalar_weights_mp(k, alpha, max(N_list), bits=fixed_bits(dps))
+    are built once and each (N, corrected) is marched once: every sigma's
+    u^N is e^(-sigma T) rho times the same sigma-free terminal value."""
+    P = fixed_bits(dps)
+    l = scalar_weights_mp(k, alpha, max(N_list), P)
     with mp.workdps(dps):
         tt = mpf(T)
         E = mittag_leffler_mp(alpha, -mpf(lam) * tt ** mpf(alpha))
-    errors = []
-    for sigma, corrected in variants:
-        with mp.workdps(dps):
-            exact = mp.exp(-mpf(sigma) * tt) * E * rho
-        errors.append([terminal_error_mp(k, alpha, sigma, lam, rho, T, N, corrected, dps,
-                                         weights=weights, exact=exact) for N in N_list])
+        exact = [mp.exp(-mpf(sigma) * tt) * E * rho for sigma, _ in variants]
+    errors = [[] for _ in variants]
+    for N in N_list:
+        for corrected in dict.fromkeys(c for _, c in variants):
+            v = _march_fixed(l, k, alpha, lam, T, N, corrected, P)
+            with mp.workprec(P):
+                for (sigma, c), ref, errs in zip(variants, exact, errors):
+                    if c == corrected:
+                        u = mpf((v, -P)) * (mp.exp(-mpf(sigma) * tt) * mpf(rho))
+                        errs.append(float(abs(u - ref)))
     return errors

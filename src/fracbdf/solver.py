@@ -616,8 +616,8 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     float64 path builds the l_j once, each grid's reciprocal once, and each
     (grid, corrected) march once; every terminal value is formed with the
     operations :func:`step_solve` uses, so each error is bitwise that of a
-    separate :func:`convergence_harness` call.  The twin builds its weights
-    and its Mittag-Leffler value once per path.
+    separate :func:`convergence_harness` call.  The twin likewise builds its
+    weights and E_alpha once per path and marches each (grid, corrected) once.
     """
     check_order(k)
     check_alpha(alpha)

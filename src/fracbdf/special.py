@@ -67,14 +67,21 @@ def _series_float(alpha: float, z: float, n_terms: int) -> float:
     return math.fsum(terms)
 
 
-def _series_mp(alpha: float, z: float, n_terms: int, guard_digits: int) -> float:
+def mittag_leffler_mp(alpha, z):
+    """E_alpha(z) as an mpf, by direct series summation at the active
+    mpmath precision."""
     from mpmath import mp, mpf
 
-    with mp.workdps(25 + guard_digits):
-        a = mpf(alpha)
-        zz = mpf(z)
-        terms = [zz ** m / mp.gamma(a * m + 1) for m in range(n_terms)]
-        return float(mp.fsum(terms))
+    a, zz = mpf(alpha), mpf(z)
+    tol = mpf(10) ** (-(mp.dps + 10))
+    total = mpf(1)
+    for m in range(1, 100001):
+        t = zz ** m / mp.gamma(a * m + 1)
+        total += t
+        if abs(t) < tol * max(mpf(1), abs(total)) and m > 4:
+            return total
+    raise ParameterDomainError(
+        f"series did not converge at alpha={alpha}, z={z} with dps={mp.dps}")
 
 
 def _integral(alpha: float, z: float) -> float:
@@ -132,7 +139,9 @@ def mittag_leffler(alpha: float, z: float, method: str = "auto") -> float:
         return _integral(alpha, z)
     if peak <= 3.0:
         return _series_float(alpha, z, n_terms)
-    return _series_mp(alpha, z, n_terms, guard_digits=int(peak) + 5)
+    from mpmath import mp
+    with mp.workdps(30 + int(peak)):          # 25 digits, the cancellation, 5 guard
+        return float(mittag_leffler_mp(alpha, z))
 
 
 def exact_scalar_solution(lam: float, alpha: float, sigma: float, rho: float,

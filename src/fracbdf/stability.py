@@ -364,9 +364,15 @@ def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
 # A-stability side: factored argument of q on the unit circle
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _residual_coefficients(k: int) -> tuple[float, ...]:
+    """r_m = p_0 + ... + p_m, m < k: (1 - z) sum_m r_m z^m is the BDF-k polynomial."""
+    return tuple(float(c) for c in itertools.accumulate(bdf_polynomial(k)[:k]))
+
+
 def _residual_values(k: int, z: np.ndarray) -> np.ndarray:
-    """R_k(z) with (1 - z) R_k(z) the BDF-k polynomial: r_m = p_0 + ... + p_m."""
-    coeffs = [float(c) for c in itertools.accumulate(bdf_polynomial(k)[:k])]
+    """R_k(z), by Horner's rule on :func:`_residual_coefficients`."""
+    coeffs = _residual_coefficients(k)
     out = np.full_like(z, coeffs[-1], dtype=complex)
     for c in reversed(coeffs[:-1]):
         out = out * z + c

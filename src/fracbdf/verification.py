@@ -295,10 +295,10 @@ def check_convergence_orders(n_list=(128, 256, 512)) -> CheckResult:
 
     All runs of one (k, alpha) path share what does not depend on sigma:
     the float64 runs share the l_j, each grid's reciprocal series and each
-    (grid, corrected) march, and the twin runs share the weights and the
-    Mittag-Leffler value; every error is bitwise that of a separate
-    :func:`~fracbdf.solver.convergence_harness` call.  ``max_residual``
-    is the largest step residual of the float64 marches.
+    (grid, corrected) march, and the twin runs share the weights, E_alpha
+    and each (grid, corrected) march; every error is bitwise that of a
+    separate :func:`~fracbdf.solver.convergence_harness` call.
+    ``max_residual`` is the largest step residual of the float64 marches.
     """
     t0 = time.perf_counter()
     sigmas, alphas = (0.0, 1.0), (0.3, 0.5, 0.8)

@@ -4,15 +4,15 @@ import pytest
 from mpmath import mp
 
 from fracbdf import bdf_l_coefficients, mittag_leffler, scalar_problem, step_solve
-from fracbdf.highprec import (mittag_leffler_mp, scalar_weights_mp, solve_scalar_mp,
-                              terminal_error_mp)
+from fracbdf.highprec import (fixed_bits, mittag_leffler_mp, scalar_weights_mp,
+                              solve_scalar_mp, terminal_error_mp)
 
 
 def test_mp_weights_match_float_path():
-    with mp.workdps(30):
-        lmp = scalar_weights_mp(4, 0.5, 64)
+    P = fixed_bits(30)
+    lmp = [x / 2 ** P for x in scalar_weights_mp(4, 0.5, 64, P)]
     lf = bdf_l_coefficients(4, 0.5, 64)
-    worst = max(abs(float(a) - b) / max(1.0, abs(b)) for a, b in zip(lmp, lf))
+    worst = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(lmp, lf))
     assert worst <= 1e-13
 
 

@@ -5,12 +5,13 @@ import itertools
 import pytest
 from mpmath import mp, mpf
 
-from fracbdf import ParameterDomainError, bdf_polynomial, convergence_harness
+from fracbdf import ParameterDomainError, bdf_polynomial, convergence_harness, scalar_problem
 from fracbdf.coefficients import check_alpha, check_order
 from fracbdf import highprec
 from fracbdf.highprec import (_GUARD, _LEAF, _march_fixed, _to_fixed, fixed_bits,
                               scalar_weights_mp, solve_scalar_mp, terminal_error_mp)
 from fracbdf.solver import correction_weights
+from fracbdf.verification import check_convergence_orders
 
 
 def reference_weights_mp(k, alpha, J):
@@ -56,7 +57,7 @@ def reference_solve_mp(k, alpha, sigma, lam, rho, T, N, corrected=True, dps=30):
 def test_fixed_point_twin_matches_mpf_reference(k):
     worst = 0.0
     for sigma, alpha, lam, rho, corrected in itertools.product(
-            (0.0, 1.0), (0.3, 0.5, 0.8), (0.5, 50.0), (1.0, -2.5), (True, False)):
+            (0.0, 1.0, 3.0), (0.3, 0.5, 0.8), (0.5, 50.0), (1.0, -2.5), (True, False)):
         got = solve_scalar_mp(k, alpha, sigma, lam, rho, 1.0, 64, corrected, dps=30)
         ref = reference_solve_mp(k, alpha, sigma, lam, rho, 1.0, 64, corrected, dps=30)
         with mp.workdps(40):
@@ -82,10 +83,36 @@ def test_shared_weights_and_exact_value_change_nothing():
     assert list(path) == [terminal_error_mp(*args, N, dps=30) for N in (16, 32, 64)]
 
 
-def test_supplied_weights_must_cover_all_steps():
-    w = scalar_weights_mp(3, 0.5, 8, bits=fixed_bits(30))
+def test_convergence_check_marches_each_twin_grid_once(monkeypatch):
+    """The twin runs k = 5, 6 corrected at 3 alphas on 3 grids: one march
+    per (k, alpha, N), shared by both sigmas."""
+    calls = []
+    march = highprec._march_fixed
+
+    def counted(*args):
+        calls.append(args)
+        return march(*args)
+
+    monkeypatch.setattr(highprec, "_march_fixed", counted)
+    assert check_convergence_orders().passed
+    assert len(calls) == 18
+
+
+_BAD_SCALAR = {"sigma=-1": {"sigma": -1.0}, "lam=0": {"lam": 0.0}, "lam=-1": {"lam": -1.0},
+               "lam=nan": {"lam": float("nan")}, "T=0": {"T": 0.0}, "T=-1": {"T": -1.0},
+               "rho=inf": {"rho": float("inf")}, "alpha=1.5": {"alpha": 1.5}, "N=0": {"N": 0}}
+
+
+@pytest.mark.parametrize("entry", (solve_scalar_mp, terminal_error_mp))
+@pytest.mark.parametrize("bad", _BAD_SCALAR.values(), ids=_BAD_SCALAR.keys())
+def test_twin_rejects_what_the_float_path_rejects(entry, bad):
+    args = {"k": 3, "alpha": 0.5, "sigma": 0.0, "lam": 2.5, "rho": 1.0, "T": 1.0,
+            "N": 16, **bad}
     with pytest.raises(ParameterDomainError):
-        solve_scalar_mp(3, 0.5, 0.0, 1.0, 1.0, 1.0, 16, weights=w)
+        entry(**args)
+    if "N" not in bad:
+        with pytest.raises(ParameterDomainError):
+            scalar_problem(args["lam"], args["alpha"], args["sigma"], args["rho"], args["T"])
 
 
 @pytest.mark.parametrize("precision", (0, -3, 15, 30.0, 20.5, "30", True))
@@ -104,28 +131,21 @@ def test_harness_rejects_non_finite_inputs(bad):
                 convergence_harness(**args, precision=precision)
 
 
-def reference_march_fixed(l, k, alpha, sigma, lam, T, N, corrected, P):
+def reference_march_fixed(l, k, alpha, lam, T, N, corrected, P):
     """The step-by-step fixed-point march: each history is one exact
     integer dot product, O(N^2) products in all."""
     with mp.workprec(P + _GUARD):
-        tau = mpf(T) / N
-        r = _to_fixed(mp.exp(-mpf(sigma) * tau), P)
-        mu = _to_fixed(mpf(lam) * tau ** mpf(alpha), P)
-    decay = [1 << P]                   # e^(-sigma n tau), n = 0..N
-    for _ in range(N):
-        decay.append(decay[-1] * r >> P)
-    g = [lj * dj >> P for lj, dj in zip(l, decay)]
-    d = decay[:]                       # d_n = e^(-sigma n tau) (1 + a_n)
-    d[0] = 0
+        mu = _to_fixed(mpf(lam) * (mpf(T) / N) ** mpf(alpha), P)
+    d = [0] + [1 << P] * N             # d_n = 1 + a_n
     if corrected:
         for n, a in zip(range(1, N + 1), correction_weights(k)):
             d[n] = d[n] * (a.numerator + a.denominator) // a.denominator
-    shift = g[0] + mu
+    shift = l[0] + mu
     v = [0] * (N + 1)
     for n in range(1, N + 1):
-        hist = sum(map(int.__mul__, g[1:n + 1], reversed(v[:n]))) >> P
+        hist = sum(map(int.__mul__, l[1:n + 1], reversed(v[:n]))) >> P
         v[n] = ((-(d[n] * mu >> P) - hist) << P) // shift
-    return v[N] + decay[N]
+    return v[N] + (1 << P)
 
 
 _SMALL_N = (1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 100, 257)
@@ -136,27 +156,26 @@ def test_divide_and_conquer_history_is_bitwise_exact(k):
     for dps in (16, 30, 50):
         P = fixed_bits(dps)
         l = scalar_weights_mp(k, 0.5, max(_SMALL_N), bits=P)
-        for sigma, lam, corrected in itertools.product((0.0, 1.0, 3.0), (0.5, 50.0),
-                                                       (True, False)):
+        for lam, corrected in itertools.product((0.5, 50.0), (True, False)):
             for N in _SMALL_N:
-                args = (l, k, 0.5, sigma, lam, 1.0, N, corrected, P)
-                assert _march_fixed(*args) == reference_march_fixed(*args), (dps, sigma,
-                                                                             lam, corrected, N)
+                args = (l, k, 0.5, lam, 1.0, N, corrected, P)
+                assert _march_fixed(*args) == reference_march_fixed(*args), (dps, lam,
+                                                                             corrected, N)
 
 
 # The O(N^2) reference makes long marches slow, so each long case takes one
-# (dps, sigma, lam, corrected) instead of crossing them.
-_LONG = [(1, 513, 50, 3.0, 0.5, True), (2, 2048, 16, 1.0, 50.0, False),
-         (3, 513, 30, 0.0, 50.0, False), (4, 2048, 50, 1.0, 0.5, True),
-         (5, 513, 50, 3.0, 0.5, True), (5, 513, 16, 0.0, 0.5, True),
-         (6, 2048, 16, 1.0, 50.0, False), (6, 2048, 30, 1.0, 1.0, True)]
+# (dps, lam, corrected) instead of crossing them.
+_LONG = [(1, 513, 50, 0.5, True), (2, 2048, 16, 50.0, False),
+         (3, 513, 30, 50.0, False), (4, 2048, 50, 0.5, True),
+         (5, 513, 50, 0.5, True), (5, 513, 16, 0.5, True),
+         (6, 2048, 16, 50.0, False), (6, 2048, 30, 1.0, True)]
 
 
-@pytest.mark.parametrize("k, N, dps, sigma, lam, corrected", _LONG)
-def test_divide_and_conquer_history_is_bitwise_exact_long(k, N, dps, sigma, lam, corrected):
+@pytest.mark.parametrize("k, N, dps, lam, corrected", _LONG)
+def test_divide_and_conquer_history_is_bitwise_exact_long(k, N, dps, lam, corrected):
     P = fixed_bits(dps)
     l = scalar_weights_mp(k, 0.3, N, bits=P)
-    args = (l, k, 0.3, sigma, lam, 1.0, N, corrected, P)
+    args = (l, k, 0.3, lam, 1.0, N, corrected, P)
     assert _march_fixed(*args) == reference_march_fixed(*args)
 
 
