@@ -18,8 +18,7 @@ from .special import exact_scalar_solution, mittag_leffler
 from .stability import (ArgumentSweep, ENERGY_CONSTANTS, ExtremaReport, StabilityReport,
                         TrigPolynomial, argument_sweep, composite_angle,
                         lower_bound_extrema, multiplier_energy_check,
-                        positivity_generating_function, q_boundary_values,
-                        quadrature_positivity_check, stability_report, toeplitz_band,
-                        toeplitz_eigencheck, trig_max, trig_min)
+                        positivity_generating_function, quadrature_positivity_check,
+                        stability_report, toeplitz_eigencheck, trig_min)
 
 __version__ = "0.1.0"

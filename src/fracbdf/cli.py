@@ -62,10 +62,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ParameterDomainError(
-            f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise ParameterDomainError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def cmd_coeffs(args) -> int:

@@ -57,21 +57,6 @@ class MultiplierSet:
     def mu_float(self) -> tuple[float, ...]:
         return tuple(float(m) for m in self.mu)
 
-    def zeta_polynomial(self, sigma: float = 0.0, tau: float = 1.0) -> np.ndarray:
-        """Coefficients of mu(zeta) in ascending powers of zeta."""
-        damp = np.exp(-sigma * tau)
-        out = np.empty(len(self.mu) + 1)
-        out[0] = 1.0
-        for j, m in enumerate(self.mu, start=1):
-            out[j] = -float(m) * damp ** j
-        return out
-
-    def roots(self, sigma: float = 0.0, tau: float = 1.0) -> np.ndarray:
-        """Complex roots of mu(zeta); all must lie outside the unit disk."""
-        if not self.mu:
-            return np.array([], dtype=complex)
-        return np.roots(self.zeta_polynomial(sigma, tau)[::-1])
-
 
 def multiplier_set(k: int) -> MultiplierSet:
     """The multiplier tuple for order k (empty for k = 1, 2)."""

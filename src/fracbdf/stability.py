@@ -26,7 +26,8 @@ scheme:
   continuous on (0, pi] and avoids principal-branch ambiguity.
 
 Everything here is checked two ways where possible: closed-form extremum
-locations against dense-grid searches, Toeplitz eigenvalues against the
+locations against exact critical points in y = cos x (companion-matrix
+roots of f'(y), Newton-polished), Toeplitz eigenvalues against the
 generating-function sandwich, and the argument bound against the exact
 minimum of the convolution quadratic form.
 
@@ -91,9 +92,6 @@ class TrigPolynomial:
             out += t * np.cos(j * x)
         return out
 
-    def negated(self) -> "TrigPolynomial":
-        return TrigPolynomial(tuple(-t for t in self.coeffs))
-
 
 def positivity_generating_function(k: int, sigma: float = 0.0,
                                    tau: float = 1.0) -> TrigPolynomial:
@@ -111,71 +109,59 @@ def positivity_generating_function(k: int, sigma: float = 0.0,
     return TrigPolynomial(tuple(coeffs))
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to width tol in x."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(f(d))
-    x = (a + b) / 2.0
-    return x, float(f(x))
+def _newton_polish(coeffs_desc, x0: float, steps: int = 4) -> float:
+    p = np.asarray(coeffs_desc, dtype=float)
+    dp = np.polyder(p)
+    x = float(x0)
+    for _ in range(steps):
+        d = np.polyval(dp, x)
+        if d == 0.0:
+            break
+        x -= np.polyval(p, x) / d
+    return x
 
 
-def trig_min(f: TrigPolynomial, grid_size: int = 4096,
-             refine_tol: float = 1e-10) -> tuple[float, float]:
-    """Global minimum of an even trig polynomial over [0, pi].
+def _real_roots_in(coeffs_desc, lo: float, hi: float,
+                   imag_tol: float = 1e-8) -> list[float]:
+    """Real roots inside (lo, hi): companion-matrix eigenvalues, polished."""
+    roots = np.roots(np.asarray(coeffs_desc, dtype=float))
+    out = []
+    for r in roots:
+        if abs(r.imag) < imag_tol and lo < r.real < hi:
+            out.append(_newton_polish(coeffs_desc, r.real))
+    return sorted(out)
 
-    Dense grid scan followed by golden-section refinement in the winning
-    grid cell.  grid_size must be at least 1024 so no oscillation of a
-    degree <= 6 polynomial can hide between grid points.
+
+def _extremum_candidates(p_desc) -> list[float]:
+    """Where a polynomial can take its extrema on [-1, 1]: both ends and the
+    real critical points inside (:func:`_real_roots_in`)."""
+    dp = np.polyder(np.asarray(p_desc, dtype=float))
+    return [-1.0, *_real_roots_in(dp, -1.0, 1.0), 1.0]
+
+
+def _trig_candidates(f: TrigPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Points x in [0, pi] where f can take its extrema, and f there.
+
+    cos(jx) = T_j(cos x), so f is the Chebyshev series sum_j t_j T_j(y) in
+    y = cos x; its extrema lie at y = +-1 or at real roots of f'(y).  The
+    values come from the cos form of f itself.
     """
-    if grid_size < 1024:
-        raise ParameterDomainError(f"grid_size must be >= 1024, got {grid_size}")
-    x = np.linspace(0.0, math.pi, grid_size + 1)
-    v = f(x)
+    p = np.polynomial.chebyshev.cheb2poly(f.coeffs)[::-1]
+    x = np.arccos(np.clip(_extremum_candidates(p), -1.0, 1.0))
+    return x, f(x)
+
+
+def trig_min(f: TrigPolynomial) -> tuple[float, float]:
+    """Global minimum (x, f(x)) of an even trig polynomial over [0, pi]."""
+    x, v = _trig_candidates(f)
     i = int(np.argmin(v))
-    a = x[max(i - 1, 0)]
-    b = x[min(i + 1, grid_size)]
-    xr, fr = _golden_section(f, a, b, refine_tol)
-    if v[i] < fr:
-        return float(x[i]), float(v[i])
-    return xr, fr
-
-
-def trig_max(f: TrigPolynomial, grid_size: int = 4096,
-             refine_tol: float = 1e-10) -> tuple[float, float]:
-    """Global maximum over [0, pi], via trig_min of the negated polynomial."""
-    x, v = trig_min(f.negated(), grid_size, refine_tol)
-    return x, -v
+    return float(x[i]), float(v[i])
 
 
 def _check_counts(**counts: int) -> None:
     for name, n in counts.items():
         if n < 1:
             raise ParameterDomainError(f"{name} must be >= 1, got {n!r}")
-
-
-def toeplitz_band(k: int, sigma: float, tau: float, N: int) -> np.ndarray:
-    """Lower-triangular band Toeplitz matrix of the multiplier form.
-
-    Entry (i, i-j) holds -mu_j e^(-sigma*j*tau) for j = 0..k with the
-    convention mu_0 = -(1 - c_k), i.e. the diagonal carries 1 - c_k.
-    (L + L^T)/2 is the plain dense reference for the banded kernel.
-    """
-    entries = positivity_generating_function(k, sigma, tau).coeffs
-    _check_counts(N=N)
-    col = np.zeros(N)
-    col[:len(entries)] = entries[:N]
-    return toeplitz(col, np.zeros(N))
 
 
 def _section_extremes(t, N: int, witness_below: float = -math.inf):
@@ -238,8 +224,8 @@ def _band_witness(band: np.ndarray, lo: float, norm: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)      # the sandwich check's 4 orders x 2 sigma*tau
 def _symbol_extrema(k: int, sigma: float, tau: float) -> tuple[float, float]:
-    f = positivity_generating_function(k, sigma, tau)
-    return trig_min(f)[1], trig_max(f)[1]
+    _, v = _trig_candidates(positivity_generating_function(k, sigma, tau))
+    return float(v.min()), float(v.max())
 
 
 @dataclass(frozen=True)
@@ -459,7 +445,7 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
         raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
     x, theta1, theta2, recip = _sweep_angles(k, math.exp(-sigma * tau), grid_size)
     arg = alpha * theta1 + alpha * theta2 + sum(recip)
-    jump = float(np.max(np.abs(np.diff(arg)))) if grid_size > 1 else 0.0
+    jump = float(np.max(np.abs(np.diff(arg))))
     if jump > math.pi / 2.0:
         raise GridTooCoarseError(
             f"argument jump {jump:.3f} > pi/2 between grid points "
@@ -471,23 +457,6 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
                          reciprocal_angles=recip,
                          max_arg=float(arg.max()), min_arg=float(arg.min()),
                          limit_at_zero=limit)
-
-
-def q_boundary_values(k: int, alpha: float, x: np.ndarray, sigma: float = 0.0,
-                      tau: float = 1.0) -> np.ndarray:
-    """q evaluated on the unit circle via the factored magnitude/argument."""
-    _check_multiplier_order(k)
-    check_alpha(alpha)
-    check_sigma_tau(sigma, tau)
-    x = np.asarray(x, dtype=float)
-    damp = math.exp(-sigma * tau)
-    z = damp * np.exp(1j * x)
-    theta1, theta2, recip = _factored_angles(k, x, damp)
-    arg = alpha * theta1 + alpha * theta2 + sum(recip)
-    mag = (np.abs(1.0 - z) * np.abs(_residual_values(k, z))) ** alpha
-    for c, mult in _RECIPROCAL_FACTORS[k]:
-        mag = mag / np.abs(1.0 - float(c) * z) ** mult
-    return mag * np.exp(1j * arg)
 
 
 # ---------------------------------------------------------------------------
@@ -575,29 +544,6 @@ _BAND_MIN_BOUND = 0.004785
 _SLOPE_MIN_BOUND_K3 = 2.02
 
 
-def _newton_polish(coeffs_desc, x0: float, steps: int = 4) -> float:
-    p = np.asarray(coeffs_desc, dtype=float)
-    dp = np.polyder(p)
-    x = float(x0)
-    for _ in range(steps):
-        d = np.polyval(dp, x)
-        if d == 0.0:
-            break
-        x -= np.polyval(p, x) / d
-    return x
-
-
-def _real_roots_in(coeffs_desc, lo: float, hi: float,
-                   imag_tol: float = 1e-8) -> list[float]:
-    """Real roots inside (lo, hi): companion-matrix eigenvalues, polished."""
-    roots = np.roots(np.asarray(coeffs_desc, dtype=float))
-    out = []
-    for r in roots:
-        if abs(r.imag) < imag_tol and lo < r.real < hi:
-            out.append(_newton_polish(coeffs_desc, r.real))
-    return sorted(out)
-
-
 def composite_angle(k: int, x) -> np.ndarray:
     """Untempered composite angle theta1 + theta2 + reciprocal angles.
 
@@ -679,8 +625,7 @@ def lower_bound_extrema(k: int) -> ExtremaReport:
 
         xi_star = (20.0 - math.sqrt(94.0)) / 18.0
         cubic = np.asarray([float(c) for c in _BAND_MIN_CUBIC])
-        crit = _real_roots_in(np.polyder(cubic), -1.0, 1.0)
-        candidates = [xi_star] + crit + [-1.0, 1.0]
+        candidates = [xi_star] + _extremum_candidates(cubic)
         values = [float(np.polyval(cubic, c)) for c in candidates]
         if min(values) < float(np.polyval(cubic, xi_star)) - 1e-12:
             raise InternalConsistencyError(
@@ -735,8 +680,7 @@ def stability_report(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
                      arg_tol: float = 1e-9,
                      eigen_tol: float = 1e-10) -> StabilityReport:
     """Run the positivity and A-stability checks for one parameter set."""
-    f = positivity_generating_function(k, sigma, tau)
-    x_min, f_min = trig_min(f, grid_size=max(grid_size, 1024))
+    x_min, f_min = trig_min(positivity_generating_function(k, sigma, tau))
     ck = float(ENERGY_CONSTANTS[k])
     toeplitz = []
     sandwich_ok = True

@@ -111,7 +111,7 @@ def check_table_exactness() -> CheckResult:
 
 
 def check_positivity_constants() -> CheckResult:
-    """Extrema of the symmetrized-band generating functions.
+    """Minima of the band generating functions, exact critical points in cos x.
 
     k=3,4: minimum 0 at x=0; k=5: minimum 0 plus the pointwise quadratic
     lower bound on a 4096 grid; k=6: minimum above 0.004785, located at
@@ -121,12 +121,12 @@ def check_positivity_constants() -> CheckResult:
     failures = []
     details: dict = {}
     for k in (3, 4):
-        x_min, f_min = trig_min(positivity_generating_function(k), 8192, 1e-9)
+        x_min, f_min = trig_min(positivity_generating_function(k))
         details[f"k{k}"] = {"x_min": x_min, "f_min": f_min}
         if abs(f_min) > 1e-12 or abs(x_min) > 1e-6:
             failures.append(f"k={k} minimum not 0 at 0: ({x_min}, {f_min})")
     f5 = positivity_generating_function(5)
-    x_min, f_min = trig_min(f5, 8192, 1e-9)
+    x_min, f_min = trig_min(f5)
     details["k5"] = {"x_min": x_min, "f_min": f_min}
     if abs(f_min) > 1e-12:
         failures.append(f"k=5 minimum not 0: {f_min}")
@@ -136,7 +136,7 @@ def check_positivity_constants() -> CheckResult:
     if gap.min() < -1e-12:
         failures.append(f"k=5 pointwise bound violated by {gap.min()}")
     f6 = positivity_generating_function(6)
-    x_min, f_min = trig_min(f6, 8192, 1e-9)
+    x_min, f_min = trig_min(f6)
     x_star = math.acos((20.0 - math.sqrt(94.0)) / 18.0)
     details["k6"] = {"x_min": x_min, "f_min": f_min, "x_star": x_star}
     if not f_min > 0.004785:

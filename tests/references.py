@@ -1,0 +1,49 @@
+"""Plain reference implementations that only the tests use: the dense band
+matrix, the multiplier polynomial mu(zeta) and its roots, and q evaluated on
+the unit circle from its factored form."""
+
+import math
+
+import numpy as np
+from scipy.linalg import toeplitz
+
+from fracbdf import multiplier_set, positivity_generating_function
+from fracbdf.stability import _RECIPROCAL_FACTORS, _factored_angles, _residual_values
+
+
+def mu_zeta_polynomial(k, sigma=0.0, tau=1.0):
+    """Coefficients of mu(zeta) in ascending powers of zeta."""
+    damp = math.exp(-sigma * tau)
+    return np.array([1.0] + [-float(m) * damp ** j
+                             for j, m in enumerate(multiplier_set(k).mu, start=1)])
+
+
+def mu_roots(k, sigma=0.0, tau=1.0):
+    """Complex roots of mu(zeta); all must lie outside the unit disk."""
+    return np.roots(mu_zeta_polynomial(k, sigma, tau)[::-1])
+
+
+def toeplitz_band(k, sigma, tau, N):
+    """Lower-triangular band Toeplitz matrix L of the multiplier form.
+
+    Entry (i, i-j) holds -mu_j e^(-sigma*j*tau) for j = 0..k with the
+    convention mu_0 = -(1 - c_k), i.e. the diagonal carries 1 - c_k.
+    (L + L^T)/2 is the plain dense reference for the banded kernel.
+    """
+    entries = positivity_generating_function(k, sigma, tau).coeffs
+    col = np.zeros(N)
+    col[:len(entries)] = entries[:N]
+    return toeplitz(col, np.zeros(N))
+
+
+def q_boundary_values(k, alpha, x, sigma=0.0, tau=1.0):
+    """q evaluated on the unit circle via the factored magnitude/argument."""
+    x = np.asarray(x, dtype=float)
+    damp = math.exp(-sigma * tau)
+    z = damp * np.exp(1j * x)
+    theta1, theta2, recip = _factored_angles(k, x, damp)
+    arg = alpha * theta1 + alpha * theta2 + sum(recip)
+    mag = (np.abs(1.0 - z) * np.abs(_residual_values(k, z))) ** alpha
+    for c, mult in _RECIPROCAL_FACTORS[k]:
+        mag = mag / np.abs(1.0 - float(c) * z) ** mult
+    return mag * np.exp(1j * arg)

@@ -16,13 +16,14 @@ import pytest
 
 from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      argument_sweep, bdf_g_coefficients, multiplier_energy_check,
-                     multiplier_set, positivity_generating_function, q_boundary_values,
-                     q_coefficients, quadrature_positivity_check, stability_report,
-                     toeplitz_band, toeplitz_eigencheck, verification)
+                     multiplier_set, positivity_generating_function, q_coefficients,
+                     quadrature_positivity_check, stability_report, toeplitz_eigencheck,
+                     verification)
 from fracbdf.cli import main
 from fracbdf.multipliers import QTable
 from fracbdf import stability
 from fracbdf.stability import _section_extremes, _symbol_extrema
+from references import toeplitz_band
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,8 @@ BAD_SIGMA_TAU = [(math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0),
 def test_stability_entry_points_reject_bad_sigma_tau(sigma, tau):
     calls = (
         lambda: toeplitz_eigencheck(3, sigma, tau, 10),
-        lambda: toeplitz_band(3, sigma, tau, 10),
         lambda: positivity_generating_function(3, sigma, tau),
         lambda: argument_sweep(3, 0.5, sigma, tau, grid_size=64),
-        lambda: q_boundary_values(3, 0.5, np.linspace(0.1, 3.0, 8), sigma, tau),
         lambda: stability_report(3, 0.5, sigma, tau, grid_size=1024, matrix_sizes=(10,)),
         lambda: multiplier_energy_check(3, sigma=sigma, tau=tau, N=10),
     )

@@ -165,9 +165,10 @@ def test_bad_cli_input_is_json_error(capsys, tmp_path, case):
     assert json.loads(captured.err)["kind"] == "error"
 
 
-def test_bad_matrix_size_list_is_usage_error(capsys):
+@pytest.mark.parametrize("sizes", ["10,abc", ",", ""])
+def test_bad_matrix_size_list_is_usage_error(capsys, sizes):
     with pytest.raises(SystemExit) as exc:
-        main(["check-positivity", "--k", "6", "--N", "10,abc"])
+        main(["check-positivity", "--k", "6", "--N", sizes])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
 

@@ -9,12 +9,13 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      TrigPolynomial, argument_sweep, bdf_g_coefficients,
                      bdf_polynomial, composite_angle, lower_bound_extrema,
                      multiplier_energy_check, multiplier_set,
-                     positivity_generating_function, q_boundary_values,
-                     q_coefficients, quadrature_positivity_check,
-                     stability_report, toeplitz_band, toeplitz_eigencheck,
-                     trig_max, trig_min)
-from fracbdf.stability import (_RECIPROCAL_FACTORS, _factored_angles, _residual_values,
-                               _sweep_angles)
+                     positivity_generating_function, q_coefficients,
+                     quadrature_positivity_check, stability_report,
+                     toeplitz_eigencheck, trig_min)
+from fracbdf.stability import (_BAND_MIN_CUBIC, _RECIPROCAL_FACTORS, _factored_angles,
+                               _residual_values, _sweep_angles, _symbol_extrema,
+                               _trig_candidates)
+from references import mu_zeta_polynomial, q_boundary_values, toeplitz_band
 
 HALF_PI = math.pi / 2.0
 
@@ -105,10 +106,18 @@ def test_generating_function_k5_quadratic_lower_bound():
 
 def test_generating_function_k6_minimum_location():
     f = positivity_generating_function(6)
-    x_min, f_min = trig_min(f, grid_size=8192, refine_tol=1e-9)
+    x_min, f_min = trig_min(f)
     assert f_min > 0.004785
     assert f_min < 0.0055
-    assert abs(x_min - math.acos((20.0 - math.sqrt(94.0)) / 18.0)) <= 1e-6
+    assert abs(x_min - math.acos((20.0 - math.sqrt(94.0)) / 18.0)) <= 1e-12
+
+
+def test_k6_symbol_is_the_band_minimum_cubic():
+    # cos(jx) = T_j(cos x) ties the paper's cubic in xi = cos x to the
+    # multiplier table behind the k = 6 symbol.
+    coeffs = positivity_generating_function(6).coeffs
+    power = np.polynomial.chebyshev.cheb2poly(coeffs)[::-1]
+    assert_allclose(power, [float(c) for c in _BAND_MIN_CUBIC], rtol=0, atol=1e-15)
 
 
 def test_k6_band_monotone_in_squared_damping():
@@ -130,17 +139,37 @@ def test_trig_min_constant_and_grid_guard():
     c = TrigPolynomial((0.75,))
     _, v = trig_min(c)
     assert v == 0.75
-    with pytest.raises(ParameterDomainError):
-        trig_min(c, grid_size=512)
 
 
 def test_trig_extrema_k3():
     f = positivity_generating_function(3)
     x_min, f_min = trig_min(f)
     assert abs(x_min) <= 1e-6 and abs(f_min) <= 1e-15
-    x_max, f_max = trig_max(f)
-    assert x_max == pytest.approx(math.pi, abs=1e-6)
-    assert f_max == pytest.approx(1.0, rel=1e-12)
+    x, v = _trig_candidates(f)
+    assert x[np.argmax(v)] == pytest.approx(math.pi, abs=1e-6)
+    assert _symbol_extrema(3, 0.0, 1.0)[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def _random_trig_polynomials(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [TrigPolynomial(tuple(rng.standard_normal(rng.integers(1, 8))))
+            for _ in range(count)]
+
+
+_SYMBOLS = [positivity_generating_function(k, sigma=st)
+            for k in (3, 4, 5, 6) for st in (0.0, 0.05, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("f", _random_trig_polynomials(200) + _SYMBOLS)
+def test_exact_extrema_match_dense_grid(f):
+    # A 2^16-point grid scan is the plain reference: the exact extrema never
+    # lose to it, and a grid that fine comes within 1e-8 of them.
+    scale = sum(abs(t) for t in f.coeffs)
+    grid = f(np.linspace(0.0, math.pi, 2 ** 16 + 1))
+    _, v = _trig_candidates(f)
+    assert grid.min() - 1e-8 * scale <= v.min() <= grid.min() + 1e-15 * scale
+    assert grid.max() - 1e-15 * scale <= v.max() <= grid.max() + 1e-8 * scale
+    assert trig_min(f)[1] == v.min()
 
 
 def test_toeplitz_band_layout():
@@ -280,7 +309,7 @@ def test_factored_q_matches_direct_evaluation(k, alpha):
     delta = np.zeros_like(z)
     for c in reversed(poly):
         delta = delta * z + c
-    mu_poly = multiplier_set(k).zeta_polynomial()
+    mu_poly = mu_zeta_polynomial(k)
     mu_val = np.zeros_like(z)
     for c in reversed(mu_poly):
         mu_val = mu_val * z + c
