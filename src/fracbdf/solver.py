@@ -71,9 +71,6 @@ from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
-from scipy.fft import dst, irfft, next_fast_len, rfft
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coefficients import bdf_l_coefficients, check_alpha, check_order
 from .errors import InternalConsistencyError, ParameterDomainError, config_int, parses_config
@@ -108,6 +105,8 @@ def _identity(x):
 
 
 def _dst_ortho(x):
+    from scipy.fft import dst
+
     return dst(x, type=1, norm="ortho", axis=-1)
 
 
@@ -180,6 +179,8 @@ class TridiagonalLaplacian:
         # LDL^T of (main + shift, off), factored once; one dpttrs call solves
         # every column of rhs.  Size 1 has no off-diagonal, which the LAPACK
         # wrappers reject, and is a division.
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         main = self._main + shift
         if self.size == 1:
             return lambda rhs: np.asarray(rhs, dtype=float) / main
@@ -227,6 +228,8 @@ class DenseSPDOperator:
         return self.matrix @ np.asarray(v, dtype=float)
 
     def shifted_solver(self, shift: float):
+        from scipy.linalg import cho_factor, cho_solve
+
         fac = cho_factor(self.matrix + shift * np.eye(self.dim))
         return lambda rhs: cho_solve(fac, np.asarray(rhs, dtype=float))
 
@@ -366,8 +369,10 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     R = 1/(S^ + lam_i) (:func:`_reciprocal_series`) do not depend on the
     corrections either: a caller marching several data with the same S^
     and operator may pass R.  Weights with S^_0 <= 0 or a non-finite entry
-    (a scale b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError;
-    a residual above :data:`RESIDUAL_BOUND` raises InternalConsistencyError.
+    (a scale b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError,
+    and so do data whose modal coefficients (S^_0 + lam_i) (A rho)_i overflow
+    (a scalar lam beyond ~1e154 with rho = 1); a residual above
+    :data:`RESIDUAL_BOUND` raises InternalConsistencyError.
     """
     if not (S[0] > 0.0 and np.isfinite(S).all()):
         raise ParameterDomainError(f"weights must be finite with S_0 > 0, got S_0 = {S[0]!r}")
@@ -376,9 +381,15 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     d[1:1 + len(corrections)] += corrections
     Arho = A.matvec(rho.T).T
     lam, to_modal, from_modal = A.eigensystem()
+    modal = to_modal(Arho)
+    # Python floats: the sum overflows to inf without a warning.
+    if not np.abs(modal).max() <= np.finfo(float).max / (float(S[0]) + float(lam.max())):
+        raise ParameterDomainError(
+            f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
+            f"largest eigenvalue {float(lam.max())!r}")
     # A reciprocal built here is a temporary, freed before the block solve.
     rhs = from_modal(_modal_march(_reciprocal_series(S, lam) if R is None else R,
-                                  -(S[0] + lam) * to_modal(Arho), corrections))
+                                  -(S[0] + lam) * modal, corrections))
     M, trials, dim = rhs.shape
     w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
     del rhs                    # at most two (N+1) x trials x dim arrays live at once
@@ -401,6 +412,8 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     round transforms as many shifts per call as fit in ``_BLOCK``, so the
     short early rounds take many rows per FFT call.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     M = len(S)
     R = np.empty((len(shifts), M))
     R[:, 0] = 1.0 / (S[0] + shifts)
@@ -456,6 +469,8 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
     buffer holds at most max((N+1) x dim, _BLOCK) elements, so no second
     full-size array is live beside w.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     M, trials, dim = w.shape
     nfft = next_fast_len(2 * M - 1, real=True)
     S_hat = rfft(S, nfft)[:, None]
@@ -480,8 +495,12 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
             res = S[0] * wb
             res += A.matvec(wb.reshape(-1, dim).T).T.reshape(wb.shape)
             res -= rhs
-            out[r:r + rows, t:t + g] = (np.linalg.norm(res, axis=2)
-                                        / np.maximum(np.linalg.norm(rhs, axis=2), 1e-300))
+            with np.errstate(over="ignore"):     # squares of entries beyond ~1e154
+                num, den = np.linalg.norm(res, axis=2), np.linalg.norm(rhs, axis=2)
+            if not np.isfinite(den).all():
+                raise ParameterDomainError("data too large: a step's right-hand side "
+                                           "has no finite float64 norm")
+            out[r:r + rows, t:t + g] = num / np.maximum(den, 1e-300)
     return out
 
 
@@ -700,12 +719,15 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     itself.  All perturbations are marched as one (perturbations x dim)
     block through the kernel of :func:`step_solve`, which evaluates and
     gates every run's residuals as well; the largest is kept in the record.
-    ``perturbations`` must be >= 1 and ``amplitude`` finite and > 0.
+    ``perturbations`` must be an integer >= 1, ``seed`` an integer >= 0 and
+    ``amplitude`` finite and > 0.
     """
     if isinstance(perturbations, bool) or not isinstance(perturbations, Integral) \
             or perturbations < 1:
         raise ParameterDomainError(
             f"perturbations must be an integer >= 1, got {perturbations!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ParameterDomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not 0.0 < amplitude < math.inf:
         raise ParameterDomainError(f"amplitude must be finite and > 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)

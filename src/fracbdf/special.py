@@ -7,11 +7,13 @@ small alpha, the alternating terms can peak many orders of magnitude above
 the result, so the summation precision is chosen adaptively from the peak
 term (plain float64 when safe, mpmath otherwise).  For z < -5, or when the
 series would need an unreasonable number of terms, the completely monotone
-integral representation
+integral representation, scaled by u = v/x so that the integrand's mass
+stays at v = O(1) for every x (unscaled, it is a spike of width ~1/x at
+u = 0 that quadrature misses for large x),
 
-    E_alpha(-x) = sin(alpha*pi)/(alpha*pi) *
-                  integral_0^inf exp(-(u*x)^(1/alpha))
-                                 / (u^2 + 2u cos(alpha*pi) + 1) du
+    E_alpha(-x) = sin(alpha*pi)/(alpha*pi*x) *
+                  integral_0^inf exp(-v^(1/alpha))
+                                 / ((v/x)^2 + 2(v/x) cos(alpha*pi) + 1) dv
 
 is evaluated with adaptive quadrature.  The two routes agree on an overlap
 band, which the test suite checks at 1e-10.
@@ -88,19 +90,19 @@ def _integral(alpha: float, z: float) -> float:
     from scipy.integrate import quad
 
     x = -z
-    s = x ** (1.0 / alpha)
     c = math.cos(alpha * math.pi)
     inv_alpha = 1.0 / alpha
 
-    def integrand(u: float) -> float:
-        return math.exp(-s * u ** inv_alpha) / (u * (u + 2.0 * c) + 1.0)
+    def integrand(v: float) -> float:
+        u = v / x
+        return math.exp(-v ** inv_alpha) / (u * (u + 2.0 * c) + 1.0)
 
     val, err = quad(integrand, 0.0, math.inf, limit=200, epsabs=1e-13, epsrel=1e-12)
     if err > 1e-9:
         raise InternalConsistencyError(
             f"Mittag-Leffler quadrature error estimate {err:.2e} too large "
             f"(alpha={alpha}, z={z})")
-    return math.sin(alpha * math.pi) / (alpha * math.pi) * val
+    return math.sin(alpha * math.pi) / (alpha * math.pi) * val / x
 
 
 def mittag_leffler(alpha: float, z: float, method: str = "auto") -> float:

@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh, eigvals_banded,
-                          eigvalsh, toeplitz)
 
 from .coefficients import bdf_polynomial, check_alpha, check_order, check_sigma_tau
 from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
@@ -174,6 +172,8 @@ def _section_extremes(t, N: int, witness_below: float = -math.inf):
     no N x N matrix, the witness by inverse iteration
     (:func:`_band_witness`); longer columns (q sections) densely.
     """
+    from scipy.linalg import eigh, eigvals_banded, eigvalsh, toeplitz
+
     t = np.asarray(t, dtype=float)[:N]
     col = np.concatenate((t[:1], t[1:] / 2.0))
     bw = len(col) - 1
@@ -207,6 +207,8 @@ def _band_witness(band: np.ndarray, lo: float, norm: float) -> np.ndarray:
     eigencomponent by at most delta / (its gap + delta) relative to lo's.
     O(N) per solve; no N x N matrix is formed.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     shifted = band.copy()
     shifted[-1] -= lo - 1e-12 * norm
     fac = (cholesky_banded(shifted), False)

@@ -144,7 +144,7 @@ def test_error_reporting(capsys):
 
 @pytest.mark.parametrize("case", ("converge-n-list", "stability-n-list",
                                   "config-directory", "config-not-utf8", "config-missing",
-                                  "out-directory"))
+                                  "out-directory", "stability-seed"))
 def test_bad_cli_input_is_json_error(capsys, tmp_path, case):
     cfg = _solve_config(tmp_path)
     argv = {
@@ -156,6 +156,8 @@ def test_bad_cli_input_is_json_error(capsys, tmp_path, case):
                            "--k", "2", "--n", "8"],
         "out-directory": ["solve", "--config", cfg, "--k", "2", "--n", "8",
                           "--out", str(tmp_path)],
+        "stability-seed": ["stability", "--config", cfg, "--k", "3", "--n-list", "8,16",
+                           "--trials", "2", "--seed", "-1"],
     }[case]
     if case == "config-not-utf8":
         (tmp_path / "prob.json").write_bytes(b'{"T": "\xff\xfe"}')
@@ -332,3 +334,30 @@ def test_solve_accepts_integer_counts(capsys, tmp_path):
     code = main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"])
     assert code == 0
     assert capsys.readouterr().out
+
+
+def test_converge_at_large_lambda_keeps_its_order(capsys):
+    # E_alpha(-800) for alpha = 0.1 comes from the scaled quadrature
+    code, out = run_cli(capsys, "converge", "--k", "3", "--alpha", "0.1",
+                        "--lambda", "800", "--n-list", "64,128,256", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orders"] == pytest.approx([3.0, 3.0], abs=0.1)
+
+
+@pytest.mark.parametrize("alpha, lam", (("0.1", "1e308"), ("0.5", "1e200"),
+                                        ("0.5", "1.3e154")))
+def test_converge_rejects_overflowing_lambda(capsys, alpha, lam):
+    code = main(["converge", "--k", "3", "--alpha", alpha, "--lambda", lam,
+                 "--n-list", "64,128"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["kind"] == "error" and "float64" in payload["error"]
+
+
+def test_stability_non_integer_seed_is_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--config", _solve_config(tmp_path), "--k", "3",
+              "--n-list", "8,16", "--trials", "2", "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err

@@ -252,7 +252,8 @@ def test_perturbation_records_carry_max_residual():
 @pytest.mark.parametrize("kwargs", ({"perturbations": 0}, {"perturbations": -2},
                                     {"perturbations": 2.0}, {"perturbations": True},
                                     {"amplitude": 0.0}, {"amplitude": -1.0},
-                                    {"amplitude": math.nan}, {"amplitude": math.inf}))
+                                    {"amplitude": math.nan}, {"amplitude": math.inf},
+                                    {"seed": -1}, {"seed": 1.5}, {"seed": True}))
 def test_stability_experiment_rejects_bad_inputs(kwargs):
     with pytest.raises(ParameterDomainError):
         stability_experiment(_laplacian_problem(), 3, 16, **kwargs)
@@ -322,3 +323,11 @@ def test_memoized_kronecker_products_match_fresh_ones():
         assert fresh == [sum(a[i] * b[s - i] for i in range(len(a)) if 0 <= s - i < len(b))
                          for s in range(length - 1, 2 * length - 1)]
     assert sorted(memo) == [15, 31, 63]
+
+
+@pytest.mark.parametrize("lam", (1.2e154, 1e200, 1e308))
+def test_overflowing_operator_scale_is_bad_input(lam):
+    # (S_0 + lam) * lam * rho overflows from lam ~ 1.34e154, and the squared
+    # norms of the step right-hand sides (~lam * rho) a little below that
+    with pytest.raises(ParameterDomainError, match="overflows|too large"):
+        step_solve(scalar_problem(lam, 0.5), 3, 16)

@@ -237,9 +237,22 @@ def test_tempering_equivariance(lam, alpha, k, corrected):
 
 
 def test_march_imports_no_optional_modules():
-    """A solve needs neither scipy.integrate (Mittag-Leffler quadrature)
-    nor mpmath (extended precision), and nothing imports scipy.signal."""
-    code = ("import sys, numpy as np, fracbdf as f\n"
+    """scipy is imported where it is used: importing the CLI and running
+    ``coeffs`` and ``multipliers``, which neither march nor take an
+    eigenvalue, load no scipy module.  A solve then needs neither
+    scipy.integrate (Mittag-Leffler quadrature) nor mpmath (extended
+    precision), and nothing imports scipy.signal."""
+    code = ("import contextlib, io, sys, numpy as np\n"
+            "from fracbdf.cli import main\n"
+            "import fracbdf as f\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy_modules())\n"
+            "for argv in (['coeffs', '--k', '3', '--alpha', '0.5', '--n', '8'],\n"
+            "             ['multipliers', '--k', '3', '--alpha', '0.5', '--n', '8']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    print(scipy_modules())\n"
             "spec = f.FractionalOperatorSpec(f.SingleTerm(0.5), sigma=0.3)\n"
             "f.step_solve(f.SubdiffusionProblem(f.TridiagonalLaplacian(8), np.ones(8),"
             " 1.0, spec), 3, 16)\n"
@@ -250,4 +263,4 @@ def test_march_imports_no_optional_modules():
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]"] * 4

@@ -91,3 +91,37 @@ def test_exact_solution_rejects_non_finite_inputs(field, value):
 def test_exact_solution_checks_alpha_at_t0():
     with pytest.raises(ParameterDomainError):
         exact_scalar_solution(2.0, math.nan, 0.1, 1.0, 0.0)
+
+
+_LARGE_Z_ALPHAS = (0.1, 0.3, 0.5, 0.8, 0.95)
+
+
+@pytest.mark.parametrize("alpha", _LARGE_Z_ALPHAS)
+@pytest.mark.parametrize("x", (800.0, 1600.0, 3200.0))
+def test_integral_at_large_argument_against_mp_quadrature(alpha, x):
+    # E_alpha(-x) = sin(alpha pi)/(alpha pi x) int_0^inf exp(-v^(1/alpha))
+    #               / ((v/x)^2 + 2 cos(alpha pi) v/x + 1) dv, at 40 digits
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        a, X = mpf(alpha), mpf(x)
+        c = mp.cospi(a)
+        val = mp.quad(lambda v: mp.exp(-v ** (1 / a)) / ((v / X) ** 2 + 2 * c * v / X + 1),
+                      [0, 1, 2, mp.inf])
+        ref = float(mp.sinpi(a) / (a * mp.pi * X) * val)
+    assert ref > 0.0
+    assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("alpha", _LARGE_Z_ALPHAS)
+@pytest.mark.parametrize("x", (1e5, 1e50, 1e300))
+def test_integral_at_huge_argument_against_asymptotic_series(alpha, x):
+    # E_alpha(-x) ~ sum_m (-1)^(m+1) x^(-m) / Gamma(1 - alpha m); three terms
+    # leave a relative remainder O(x^-3)
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        a, X = mpf(alpha), mpf(x)
+        ref = float(mp.fsum((-1) ** (m + 1) * X ** (-m) * mp.rgamma(1 - a * m)
+                            for m in (1, 2, 3)))
+    assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
