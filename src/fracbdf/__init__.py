@@ -15,7 +15,7 @@ from .solver import (ConvergenceReport, DenseSPDOperator, ScalarOperator, SolveR
                      correction_weights, problem_from_dict, scalar_problem,
                      stability_experiment, stability_refinement, step_solve)
 from .special import exact_scalar_solution, mittag_leffler
-from .stability import (ArgumentSweep, ENERGY_CONSTANTS, ExtremaReport, StabilityReport,
+from .stability import (ArgumentSweep, ENERGY_CONSTANTS, ExtremaReport,
                         TrigPolynomial, argument_sweep, composite_angle,
                         lower_bound_extrema, multiplier_energy_check,
                         positivity_generating_function, quadrature_positivity_check,

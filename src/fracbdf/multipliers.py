@@ -86,10 +86,6 @@ class ReciprocalSeries:
     params: FracParams
     c: np.ndarray
 
-    @property
-    def J(self) -> int:
-        return len(self.c) - 1
-
 
 def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
     """Expand 1/mu(zeta) to order J by formal power-series division.

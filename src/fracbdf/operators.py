@@ -72,6 +72,9 @@ class QuadratureRule:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # Python floats: numpy scalars would print as np.float64(...) in messages.
+        object.__setattr__(self, "nodes", tuple(map(float, self.nodes)))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if len(self.nodes) != len(self.weights) or not self.nodes:
             raise ParameterDomainError("quadrature needs matching, nonempty nodes/weights")
         for a in self.nodes:
@@ -86,12 +89,7 @@ class QuadratureRule:
         if n < 1:
             raise ParameterDomainError(f"node count must be >= 1, got {n!r}")
         xs, ws = np.polynomial.legendre.leggauss(n)
-        return QuadratureRule(nodes=tuple((xs + 1.0) / 2.0), weights=tuple(ws / 2.0))
-
-    @staticmethod
-    def from_points(nodes, weights) -> "QuadratureRule":
-        return QuadratureRule(nodes=tuple(float(a) for a in nodes),
-                              weights=tuple(float(w) for w in weights))
+        return QuadratureRule(nodes=(xs + 1.0) / 2.0, weights=ws / 2.0)
 
 
 @dataclass(frozen=True)

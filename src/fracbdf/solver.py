@@ -375,7 +375,8 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     :data:`RESIDUAL_BOUND` raises InternalConsistencyError.
     """
     if not (S[0] > 0.0 and np.isfinite(S).all()):
-        raise ParameterDomainError(f"weights must be finite with S_0 > 0, got S_0 = {S[0]!r}")
+        raise ParameterDomainError(
+            f"weights must be finite with S_0 > 0, got S_0 = {float(S[0])!r}")
     d = np.ones(len(S))
     d[0] = 0.0
     d[1:1 + len(corrections)] += corrections
@@ -622,6 +623,11 @@ def convergence_harness(k: int, alpha: float, sigma: float, lam: float,
                          precision)[0]
 
 
+#: Errors of the float64 path at or below this many ulps of e^(-sigma*T)*|rho|
+#: are roundoff in u = e^(-sigma*T)*rho + w^N, not discretization error.
+_ROUNDOFF_ULPS = 64
+
+
 def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
                   rho: float = 1.0, T: float = 1.0,
                   precision: int | None = None) -> list[ConvergenceReport]:
@@ -637,6 +643,10 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     operations :func:`step_solve` uses, so each error is bitwise that of a
     separate :func:`convergence_harness` call.  The twin likewise builds its
     weights and E_alpha once per path and marches each (grid, corrected) once.
+
+    A float64 error at or below the cancellation floor of u^N
+    (:data:`_ROUNDOFF_ULPS` ulps of e^(-sigma*T)*|rho|) raises
+    ParameterDomainError: its orders would be noise.
     """
     check_order(k)
     check_alpha(alpha)
@@ -668,7 +678,14 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
                     if c == corrected:     # u^N with the operations of step_solve
                         decay = np.exp(-p.sigma * tau * np.arange(N + 1))[N]
                         u = decay * p.rho[0] + w[N, 0, 0] * decay
-                        errors[i].append(abs(float(u) - exact[p.sigma]))
+                        error = abs(float(u) - exact[p.sigma])
+                        floor = _ROUNDOFF_ULPS * np.finfo(float).eps * decay * abs(rho)
+                        if not error > floor:
+                            raise ParameterDomainError(
+                                f"error {error:.3g} at N = {N} is at the roundoff floor "
+                                f"{floor:.3g} = {_ROUNDOFF_ULPS}*eps*e^(-sigma*T)*|rho| of "
+                                f"u^N; its orders would be noise")
+                        errors[i].append(error)
     else:
         from .highprec import _path_errors_mp
         errors = _path_errors_mp(k, alpha, lam, rho, T, N_list, variants, int(precision))
@@ -709,18 +726,17 @@ class PerturbationRecord:
 
 
 def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
-                         perturbations: int = 10, seed: int = 0,
-                         amplitude: float = 1.0) -> PerturbationRecord:
+                         perturbations: int = 10, seed: int = 0) -> PerturbationRecord:
     """Perturbed solves, returning bounded-growth ratios.
 
-    Each perturbation draws a Gaussian eps^0 and measures, in the energy
-    norm, the difference between the runs from rho + eps^0 and from rho.
-    The scheme is linear in rho, so that difference is the run from eps^0
-    itself.  All perturbations are marched as one (perturbations x dim)
+    Each perturbation draws a standard Gaussian eps^0 and measures, in the
+    energy norm, the difference between the runs from rho + eps^0 and from
+    rho.  The scheme is linear in rho, so that difference is the run from
+    eps^0 itself, and the ratios, normalised by |eps^0|, do not depend on
+    its scale.  All perturbations are marched as one (perturbations x dim)
     block through the kernel of :func:`step_solve`, which evaluates and
     gates every run's residuals as well; the largest is kept in the record.
-    ``perturbations`` must be an integer >= 1, ``seed`` an integer >= 0 and
-    ``amplitude`` finite and > 0.
+    ``perturbations`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
     if isinstance(perturbations, bool) or not isinstance(perturbations, Integral) \
             or perturbations < 1:
@@ -728,11 +744,9 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
             f"perturbations must be an integer >= 1, got {perturbations!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ParameterDomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not 0.0 < amplitude < math.inf:
-        raise ParameterDomainError(f"amplitude must be finite and > 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     A = problem.A
-    eps0 = amplitude * rng.standard_normal((perturbations, A.dim))
+    eps0 = rng.standard_normal((perturbations, A.dim))
     tau, decay, w, residuals = _march(problem, k, N, eps0, True)
     # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
     # that no second full-size array is live beside w.
@@ -751,19 +765,23 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
                               max_residual=float(residuals.max()))
 
 
+#: Largest accepted growth of the maximum ratios from the coarsest grid of a
+#: refinement path to its finest.
+GROWTH_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class RefinementStabilityReport:
     """Perturbation ratios across a refinement path, with a bounded verdict."""
 
     k: int
     records: tuple[PerturbationRecord, ...]
-    growth_factor: float
 
     @property
     def bounded(self) -> bool:
         first, last = self.records[0], self.records[-1]
-        return (last.max_sq <= self.growth_factor * first.max_sq
-                and last.max_lin <= self.growth_factor * first.max_lin)
+        return (last.max_sq <= GROWTH_FACTOR * first.max_sq
+                and last.max_lin <= GROWTH_FACTOR * first.max_lin)
 
     @property
     def max_residual(self) -> float:
@@ -771,16 +789,15 @@ class RefinementStabilityReport:
 
 
 def stability_refinement(problem: SubdiffusionProblem, k: int, N_list,
-                         perturbations: int = 10, seed: int = 0,
-                         growth_factor: float = 2.0) -> RefinementStabilityReport:
+                         perturbations: int = 10, seed: int = 0) -> RefinementStabilityReport:
     """Repeat the perturbation experiment on successively finer grids.
 
     The same seed is used at every grid size so the drawn perturbations
     match across the refinement and the ratios are directly comparable.
     ``N_list`` must be strictly increasing with at least two sizes, so that
-    the verdict compares a coarsest and a finest grid.
+    the verdict compares a coarsest and a finest grid, against
+    :data:`GROWTH_FACTOR`.
     """
     records = tuple(stability_experiment(problem, k, N, perturbations, seed)
                     for N in _refinement_path(N_list))
-    return RefinementStabilityReport(k=k, records=records,
-                                     growth_factor=growth_factor)
+    return RefinementStabilityReport(k=k, records=records)

@@ -156,10 +156,9 @@ def trig_min(f: TrigPolynomial) -> tuple[float, float]:
     return float(x[i]), float(v[i])
 
 
-def _check_counts(**counts: int) -> None:
-    for name, n in counts.items():
-        if n < 1:
-            raise ParameterDomainError(f"{name} must be >= 1, got {n!r}")
+def _check_length(N: int) -> None:
+    if N < 1:
+        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
 
 
 def _section_extremes(t, N: int, witness_below: float = -math.inf):
@@ -264,7 +263,7 @@ def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
     Cauchy interlacing with a larger section), so failure means a bug.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
-    _check_counts(N=N)
+    _check_length(N)
     lam_min, lam_max, _ = _section_extremes(band, N)
     f_min, f_max = _symbol_extrema(k, sigma, tau)
     result = ToeplitzEigenCheck(k=k, sigma=sigma, tau=tau, N=N,
@@ -294,20 +293,20 @@ class EnergyCheck:
 
 def multiplier_energy_check(k: int, sigma: float = 0.0, tau: float = 1.0,
                             N: int = 50, trials: int = 1000, seed: int = 0,
-                            dim: int = 1, tol: float = 1e-10) -> EnergyCheck:
+                            tol: float = 1e-10) -> EnergyCheck:
     """Exact minimum of sum_n <w^n, w^n - sum_j mu_j e^(-sigma*j*tau) w^(n-j)>
-    minus c_k sum_n |w^n|^2 over all w^1..w^N in R^dim with
-    sum_n |w^n|^2 = N*dim: lambda_min * N * dim of the symmetrized band.
+    minus c_k sum_n |w^n|^2 over all w^1..w^N with sum_n |w^n|^2 = N:
+    lambda_min * N of the symmetrized band.  The states may lie in any
+    Hilbert space; the minimum is the same in every dimension.
 
     A negative minimum beyond tol would contradict the Toeplitz analysis;
-    the lambda_min eigenvector, in the first component, is then the
-    witness.  ``trials`` and ``seed`` are accepted and unused.
+    the lambda_min eigenvector is then the witness.  ``trials`` and
+    ``seed`` are accepted and unused.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
-    _check_counts(N=N, dim=dim)
-    lam_min, _, vec = _section_extremes(band, N, witness_below=-tol / (N * dim))
-    witness = None if vec is None else np.outer(vec, np.eye(dim)[0])
-    return EnergyCheck(k=k, min_slack=lam_min * N * dim, tol=tol, witness=witness)
+    _check_length(N)
+    lam_min, _, vec = _section_extremes(band, N, witness_below=-tol / N)
+    return EnergyCheck(k=k, min_slack=lam_min * N, tol=tol, witness=vec)
 
 
 @dataclass(frozen=True)
@@ -326,26 +325,25 @@ class QuadraticFormCheck:
 
 
 def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
-                                seed: int = 0, dim: int = 1,
-                                tol: float = 1e-10) -> QuadraticFormCheck:
+                                seed: int = 0, tol: float = 1e-10) -> QuadraticFormCheck:
     """Exact minimum of sum_n (sum_{j<n} q_j v^(n-j), v^n) over all
-    v^1..v^N in R^dim, checked nonnegative up to a scaled tolerance.
+    v^1..v^N, in any Hilbert space, checked nonnegative up to a scaled
+    tolerance.
 
-    ``min_value`` is lambda_min * N * dim (sum_n |v^n|^2 = N*dim) and
-    ``min_scaled`` is lambda_min / sum_j |q_j|; on failure the lambda_min
-    eigenvector, in the first component, is the witness.  This is the
-    discrete consequence of |arg q| <= pi/2 that the solver's energy
-    estimate rests on.  ``trials`` and ``seed`` are accepted and unused.
+    ``min_value`` is lambda_min * N (sum_n |v^n|^2 = N) and ``min_scaled``
+    is lambda_min / sum_j |q_j|; on failure the lambda_min eigenvector is
+    the witness.  This is the discrete consequence of |arg q| <= pi/2 that
+    the solver's energy estimate rests on.  ``trials`` and ``seed`` are
+    accepted and unused.
     """
-    _check_counts(N=N, dim=dim)
+    _check_length(N)
     if q.J < N - 1:
         raise ParameterDomainError(f"q covers j <= {q.J}, need j <= {N - 1}")
     scale = float(np.abs(q.q[:N]).sum())
     lam_min, _, vec = _section_extremes(q.q, N, witness_below=-tol * scale)
-    witness = None if vec is None else np.outer(vec, np.eye(dim)[0])
-    return QuadraticFormCheck(k=q.k, min_value=lam_min * N * dim,
+    return QuadraticFormCheck(k=q.k, min_value=lam_min * N,
                               min_scaled=lam_min / scale if scale else 0.0,
-                              tol=tol, witness=witness)
+                              tol=tol, witness=vec)
 
 
 # ---------------------------------------------------------------------------
@@ -648,54 +646,23 @@ def lower_bound_extrema(k: int) -> ExtremaReport:
 # Combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Verdicts and key numbers for both properties at one parameter set."""
-
-    k: int
-    alpha: float
-    sigma: float
-    tau: float
-    property_p: dict
-    property_a: dict
-    tolerances: dict
-
-    @property
-    def verdict(self) -> bool:
-        return bool(self.property_p["verdict"] and self.property_a["verdict"])
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "fracbdf-stability-report-v1",
-            "k": self.k, "alpha": self.alpha,
-            "sigma": self.sigma, "tau": self.tau,
-            "property_p": self.property_p,
-            "property_a": self.property_a,
-            "tolerances": self.tolerances,
-            "verdict": "PASS" if self.verdict else "FAIL",
-        }
-
-
 def stability_report(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
                      grid_size: int = 8192,
-                     matrix_sizes: tuple[int, ...] = (10, 50, 200, 400),
-                     arg_tol: float = 1e-9,
-                     eigen_tol: float = 1e-10) -> StabilityReport:
-    """Run the positivity and A-stability checks for one parameter set."""
+                     matrix_sizes: tuple[int, ...] = (10, 50, 200, 400)) -> dict:
+    """Run the positivity and A-stability checks for one parameter set and
+    return the verdicts and key numbers of both as a JSON-ready dict."""
     x_min, f_min = trig_min(positivity_generating_function(k, sigma, tau))
     ck = float(ENERGY_CONSTANTS[k])
     toeplitz = []
-    sandwich_ok = True
     pd_ok = True
     for N in matrix_sizes:
-        chk = toeplitz_eigencheck(k, sigma, tau, N, tol=eigen_tol)
-        sandwich_ok &= chk.sandwiched
+        chk = toeplitz_eigencheck(k, sigma, tau, N)     # raises unless sandwiched
         if k == 6:
             pd_ok &= chk.positive_definite
         toeplitz.append({"N": N, "lambda_min": chk.lambda_min,
                          "lambda_max": chk.lambda_max,
                          "f_min": chk.f_min, "f_max": chk.f_max})
-    p_verdict = (f_min >= -1e-12) and (ck + f_min > 0.0) and sandwich_ok and pd_ok
+    p_verdict = (f_min >= -1e-12) and (ck + f_min > 0.0) and pd_ok
     property_p = {
         "f_min": f_min, "x_min": x_min,
         "positivity_polynomial_min": ck + f_min,
@@ -705,7 +672,7 @@ def stability_report(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
     }
     sweep = argument_sweep(k, alpha, sigma, tau, grid_size)
     i_ext = int(np.argmax(np.abs(sweep.arg_values)))
-    a_verdict = sweep.max_abs_arg <= math.pi / 2.0 + arg_tol
+    a_verdict = sweep.max_abs_arg <= math.pi / 2.0 + 1e-9
     property_a = {
         "max_abs_arg": sweep.max_abs_arg,
         "max_arg": sweep.max_arg, "min_arg": sweep.min_arg,
@@ -714,8 +681,11 @@ def stability_report(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
         "half_pi": math.pi / 2.0,
         "verdict": bool(a_verdict),
     }
-    tolerances = {"argument": arg_tol, "eigen_sandwich": eigen_tol,
-                  "f_min_floor": 1e-12}
-    return StabilityReport(k=k, alpha=alpha, sigma=sigma, tau=tau,
-                           property_p=property_p, property_a=property_a,
-                           tolerances=tolerances)
+    return {
+        "schema": "fracbdf-stability-report-v1",
+        "k": k, "alpha": alpha, "sigma": sigma, "tau": tau,
+        "property_p": property_p,
+        "property_a": property_a,
+        "tolerances": {"argument": 1e-9, "eigen_sandwich": 1e-10, "f_min_floor": 1e-12},
+        "verdict": "PASS" if p_verdict and a_verdict else "FAIL",
+    }

@@ -144,10 +144,9 @@ def test_exact_minima_below_sampled_battery_minima(k):
 
 
 def test_energy_minimum_is_normalized_band_eigenvalue():
-    for dim in (1, 4):
-        chk = multiplier_energy_check(5, N=30, dim=dim)
-        lam = toeplitz_eigencheck(5, 0.0, 1.0, 30).lambda_min
-        assert chk.min_slack == pytest.approx(lam * 30 * dim, rel=1e-14)
+    chk = multiplier_energy_check(5, N=30)
+    lam = toeplitz_eigencheck(5, 0.0, 1.0, 30).lambda_min
+    assert chk.min_slack == pytest.approx(lam * 30, rel=1e-14)
 
 
 def test_sampling_arguments_are_accepted_and_unused():
@@ -164,33 +163,32 @@ def test_sampling_arguments_are_accepted_and_unused():
 # planted indefinite forms and their witnesses
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dim", (1, 3))
-def test_planted_indefinite_quadratic_form_has_witness(dim):
+def test_planted_indefinite_quadratic_form_has_witness():
     N = 60
     good = _q_table(3, N)
     qv = good.q.copy()
     qv[0] = -qv[0]
     bad = QTable(k=3, params=good.params, q=qv)
-    chk = quadrature_positivity_check(bad, N=N, dim=dim)
+    chk = quadrature_positivity_check(bad, N=N)
     assert not chk.verdict
     w = chk.witness
-    assert w.shape == (N, dim) and np.all(w[:, 1:] == 0.0)
-    lam = chk.min_value / (N * dim)
+    assert w.shape == (N,)
+    lam = chk.min_value / N
     assert chk.min_scaled == pytest.approx(lam / np.abs(qv).sum(), rel=1e-14)
-    rayleigh = np.einsum("nd,nd->", _lower_toeplitz(qv) @ w, w) / np.sum(w * w)
+    rayleigh = (_lower_toeplitz(qv) @ w) @ w / (w @ w)
     assert abs(rayleigh - lam) <= 1e-12
 
 
 def test_planted_indefinite_energy_form_has_witness(monkeypatch):
     monkeypatch.setitem(stability.ENERGY_CONSTANTS, 6, Fraction(9, 10))
-    N, dim = 40, 2
-    chk = multiplier_energy_check(6, N=N, dim=dim)
+    N = 40
+    chk = multiplier_energy_check(6, N=N)
     assert not chk.verdict
     w = chk.witness
-    assert w.shape == (N, dim) and np.all(w[:, 1:] == 0.0)
+    assert w.shape == (N,)
     L = toeplitz_band(6, 0.0, 1.0, N)
-    rayleigh = np.einsum("nd,nd->", L @ w, w) / np.sum(w * w)
-    assert abs(rayleigh - chk.min_slack / (N * dim)) <= 1e-12
+    rayleigh = (L @ w) @ w / (w @ w)
+    assert abs(rayleigh - chk.min_slack / N) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +213,14 @@ def test_stability_entry_points_reject_bad_sigma_tau(sigma, tau):
             call()
 
 
-@pytest.mark.parametrize("kwargs", ({"N": 0}, {"N": -3}, {"dim": 0}))
+@pytest.mark.parametrize("kwargs", ({"N": 0}, {"N": -3}))
 def test_certification_checks_reject_empty_sequences(kwargs):
     with pytest.raises(ParameterDomainError):
         multiplier_energy_check(3, **{"N": 10, **kwargs})
     with pytest.raises(ParameterDomainError):
         quadrature_positivity_check(_q_table(3, 10), **{"N": 10, **kwargs})
-    if "N" in kwargs:
-        with pytest.raises(ParameterDomainError):
-            toeplitz_eigencheck(3, 0.0, 1.0, kwargs["N"])
+    with pytest.raises(ParameterDomainError):
+        toeplitz_eigencheck(3, 0.0, 1.0, kwargs["N"])
 
 
 @pytest.mark.parametrize("argv", (

@@ -282,6 +282,11 @@ MALFORMED_CONFIGS = {
     # b * tau^(-alpha) = 1e308 * 8^0.5 overflows
     "overflowing-term-weight": ({"operator": {"variant": "multi_term", "terms": [[1e308, 0.5]]},
                                  "spatial": _SCALAR, "rho": 1.0, "T": 1}, "must be finite"),
+    # rejected at a Gauss-Legendre node, which the message names
+    "negative-constant-weight": ({"operator": {"variant": "distributed_order",
+                                               "weight": "constant", "weight_params": {"c": -1}},
+                                  "spatial": _SCALAR, "rho": 1.0, "T": 1.0},
+                                 "got -1.0 at alpha=0.0"),
 }
 
 
@@ -297,6 +302,7 @@ def test_solve_rejects_malformed_config(capsys, tmp_path, case):
     payload = json.loads(captured.err)
     assert payload["kind"] == "error"
     assert message in payload["error"]
+    assert "np.float64" not in payload["error"]
 
 
 #: Counts that are not integers: before, int() truncated 2.7 to 2 and ran.
@@ -361,3 +367,32 @@ def test_stability_non_integer_seed_is_usage_error(capsys, tmp_path):
               "--n-list", "8,16", "--trials", "2", "--seed", "1.5"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", (("--lambda", "1e10"), ("--sigma", "800")))
+def test_converge_refuses_errors_at_the_roundoff_floor(capsys, extra):
+    # E_0.5(-1e10) ~ 5.6e-6 and e^(-800) = 0 leave u^N at the float64
+    # cancellation floor; the orders printed were -1.72 and 5.52, or inf
+    code = main(["converge", "--k", "3", "--alpha", "0.5", *extra,
+                 "--n-list", "64,128,256"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["kind"] == "error" and "roundoff floor" in payload["error"]
+
+
+def test_converge_below_the_alpha_floor_is_bad_input(capsys):
+    # the series stopped at its term budget and printed errors of 0.54
+    code = main(["converge", "--k", "3", "--alpha", "1e-6", "--n-list", "64,128,256"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "alpha >= 0.005" in json.loads(captured.err)["error"]
+
+
+def test_converge_at_small_alpha_keeps_its_order(capsys):
+    # E_0.008(-10) comes from the quadrature, whose integrand used to raise
+    # OverflowError from v^(1/alpha)
+    code, out = run_cli(capsys, "converge", "--k", "3", "--alpha", "0.008",
+                        "--lambda", "10", "--n-list", "64,128,256", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orders"] == pytest.approx([3.0, 3.0], abs=0.1)

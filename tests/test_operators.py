@@ -33,10 +33,11 @@ def test_quadrature_rule():
     assert len(rule.nodes) == 16
     assert all(0.0 < a < 1.0 for a in rule.nodes)
     assert sum(rule.weights) == pytest.approx(1.0, rel=1e-14)
+    assert all(type(a) is float for a in rule.nodes + rule.weights)
     with pytest.raises(ParameterDomainError):
-        QuadratureRule.from_points([0.0, 0.5], [0.5, 0.5])
+        QuadratureRule(nodes=[0.0, 0.5], weights=[0.5, 0.5])
     with pytest.raises(ParameterDomainError):
-        QuadratureRule.from_points([0.5], [])
+        QuadratureRule(nodes=[0.5], weights=[])
 
 
 def test_spec_sigma_validation():
@@ -87,7 +88,7 @@ def test_history_superposition_linearity():
                        3, tau, 6)
     # scaled single-term pieces: b_i folded in through one-node quadrature
     part1 = discretize(FractionalOperatorSpec(DistributedOrder(
-        weight=lambda a: 2.0, quadrature=QuadratureRule.from_points([0.8], [1.0]))),
+        weight=lambda a: 2.0, quadrature=QuadratureRule(nodes=(0.8,), weights=(1.0,)))),
         3, tau, 6)
     part2 = discretize(FractionalOperatorSpec(SingleTerm(alpha=0.3)), 3, tau, 6)
     combined = apply_history(multi, W, 6)
@@ -101,7 +102,7 @@ def test_dirac_comb_equivalence():
     multi = discretize(FractionalOperatorSpec(MultiTerm(terms)), 4, tau, 8)
     comb = discretize(FractionalOperatorSpec(DistributedOrder(
         weight=lambda a: 1.0,
-        quadrature=QuadratureRule.from_points([0.8, 0.3], [2.0, 1.0]))),
+        quadrature=QuadratureRule(nodes=(0.8, 0.3), weights=(2.0, 1.0)))),
         4, tau, 8)
     rng = np.random.default_rng(7)
     W = rng.standard_normal((8, 2))

@@ -224,6 +224,13 @@ def test_convergence_harness_validation():
         convergence_harness(2, 0.5, 0.0, 1.0, (64, 64))
 
 
+@pytest.mark.parametrize("sigma, lam", ((0.0, 1e10), (800.0, 1.0)))
+def test_convergence_harness_refuses_the_roundoff_floor(sigma, lam):
+    # u^N = e^(-sigma T) rho + w^N cancels to ~eps * e^(-sigma T) |rho|
+    with pytest.raises(ParameterDomainError, match="roundoff floor"):
+        convergence_harness(3, 0.5, sigma, lam, (64, 128))
+
+
 # ---------------------------------------------------------------------------
 # stability experiment
 # ---------------------------------------------------------------------------
@@ -424,6 +431,7 @@ def test_problem_from_dict_returns_a_problem_or_parameter_domain_error(config):
     config = json.loads(json.dumps(config))
     try:
         problem = problem_from_dict(config)
-    except ParameterDomainError:
+    except ParameterDomainError as exc:
+        assert "np.float64" not in str(exc)
         return
     assert isinstance(problem, SubdiffusionProblem)

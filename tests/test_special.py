@@ -3,7 +3,8 @@ import math
 import pytest
 
 from fracbdf import ParameterDomainError, exact_scalar_solution, mittag_leffler
-from fracbdf.special import _integral, _series_profile
+from fracbdf import special
+from fracbdf.special import _integral, _series, _series_profile
 
 
 def test_value_at_zero():
@@ -37,8 +38,9 @@ def test_reference_value_from_long_series():
 @pytest.mark.parametrize("alpha", (0.5, 0.6, 0.75, 0.9))
 @pytest.mark.parametrize("z", (-3.0, -5.0, -8.0))
 def test_series_integral_overlap(alpha, z):
-    s = mittag_leffler(alpha, z, method="series")
-    i = mittag_leffler(alpha, z, method="integral")
+    s = _series(alpha, z)
+    i = _integral(alpha, z)
+    assert s is not None
     assert abs(s - i) <= 1e-10 * max(1.0, abs(s))
 
 
@@ -52,14 +54,23 @@ def test_route_selection_against_integral():
 
 
 def test_series_cancellation_fallback():
-    # small alpha at z = -5: the series needs ~98 digits of guard; auto
-    # must fall back to the integral and still match a forced mp series
+    # small alpha at z = -5: the series needs ~98 digits of guard, so it
+    # is not viable and the integral takes over
     n, peak = _series_profile(0.3, -5.0)
     assert peak > 60.0
+    assert _series(0.3, -5.0) is None
     v = mittag_leffler(0.3, -5.0)
     assert 0.0 < v < 1.0
-    with pytest.raises(ParameterDomainError):
-        mittag_leffler(0.3, -5.0, method="series")
+    assert v == _integral(0.3, -5.0)
+
+
+def test_series_out_of_term_budget_falls_back_to_integral(monkeypatch):
+    # the scan for E_0.5(-1) stops after 78 terms; with a budget of 10 it runs out
+    assert _series(0.5, -1.0) is not None
+    monkeypatch.setattr(special, "_TERM_BUDGET", 10)
+    assert _series(0.5, -1.0) is None
+    assert mittag_leffler(0.5, -1.0) == _integral(0.5, -1.0)
+    assert mittag_leffler(0.5, -1.0) == pytest.approx(0.42758357615580705, rel=1e-13)
 
 
 def test_monotone_decreasing_on_negative_axis():
@@ -74,8 +85,6 @@ def test_domain_errors():
         mittag_leffler(0.0, -1.0)
     with pytest.raises(ParameterDomainError):
         mittag_leffler(1.5, -1.0)
-    with pytest.raises(ParameterDomainError):
-        mittag_leffler(0.5, -1.0, method="cheat")
     with pytest.raises(ParameterDomainError):
         mittag_leffler(0.5, math.nan)
 
@@ -96,19 +105,24 @@ def test_exact_solution_checks_alpha_at_t0():
 _LARGE_Z_ALPHAS = (0.1, 0.3, 0.5, 0.8, 0.95)
 
 
-@pytest.mark.parametrize("alpha", _LARGE_Z_ALPHAS)
-@pytest.mark.parametrize("x", (800.0, 1600.0, 3200.0))
-def test_integral_at_large_argument_against_mp_quadrature(alpha, x):
-    # E_alpha(-x) = sin(alpha pi)/(alpha pi x) int_0^inf exp(-v^(1/alpha))
-    #               / ((v/x)^2 + 2 cos(alpha pi) v/x + 1) dv, at 40 digits
+def _reference_mp(alpha, x, dps):
+    """E_alpha(-x) = sin(alpha pi)/(alpha pi x) int_0^inf exp(-v^(1/alpha))
+    / ((v/x)^2 + 2 cos(alpha pi) v/x + 1) dv at ``dps`` digits, split
+    around v = 1, where the integrand approaches a step as alpha -> 0."""
     from mpmath import mp, mpf
 
-    with mp.workdps(40):
+    with mp.workdps(dps):
         a, X = mpf(alpha), mpf(x)
         c = mp.cospi(a)
         val = mp.quad(lambda v: mp.exp(-v ** (1 / a)) / ((v / X) ** 2 + 2 * c * v / X + 1),
-                      [0, 1, 2, mp.inf])
-        ref = float(mp.sinpi(a) / (a * mp.pi * X) * val)
+                      [0, 0.5, 0.9, 0.97, 1, 1.03, 1.1, 2, mp.inf])
+        return float(mp.sinpi(a) / (a * mp.pi * X) * val)
+
+
+@pytest.mark.parametrize("alpha", _LARGE_Z_ALPHAS)
+@pytest.mark.parametrize("x", (800.0, 1600.0, 3200.0))
+def test_integral_at_large_argument_against_mp_quadrature(alpha, x):
+    ref = _reference_mp(alpha, x, 40)
     assert ref > 0.0
     assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
 
@@ -125,3 +139,21 @@ def test_integral_at_huge_argument_against_asymptotic_series(alpha, x):
         ref = float(mp.fsum((-1) ** (m + 1) * X ** (-m) * mp.rgamma(1 - a * m)
                             for m in (1, 2, 3)))
     assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("alpha", (0.005, 0.008, 0.01))
+@pytest.mark.parametrize("x", (0.5, 1.0, 3.0, 10.0, 1e3, 1e5))
+def test_small_alpha_against_mp_quadrature(alpha, x):
+    # At alpha = 1e-6 the series used to stop at its term budget unsummed
+    # (E(-1) came out -0.0446, not ~0.5), and for alpha < 0.01 the
+    # quadrature raised OverflowError from v^(1/alpha).
+    ref = _reference_mp(alpha, x, 30)
+    assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("alpha", (1e-6, 0.002, 0.00499))
+def test_orders_below_the_floor_are_refused(alpha):
+    with pytest.raises(ParameterDomainError, match="alpha >= 0.005"):
+        mittag_leffler(alpha, -1.0)
+    with pytest.raises(ParameterDomainError, match="alpha >= 0.005"):
+        exact_scalar_solution(1.0, alpha, 0.0, 1.0, 1.0)

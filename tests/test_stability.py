@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -209,8 +210,15 @@ def test_multiplier_energy_inequality(k, st):
 
 
 def test_multiplier_energy_vector_states():
-    chk = multiplier_energy_check(5, N=30, trials=100, seed=3, dim=4)
+    # The form acts on each component of a vector state separately, so no
+    # vector sequence goes below the exact minimum over scalar sequences.
+    N = 30
+    chk = multiplier_energy_check(5, N=N)
     assert chk.verdict
+    W = np.random.default_rng(3).standard_normal((100, N, 4))
+    W *= np.sqrt(N / np.einsum("tnd,tnd->t", W, W))[:, None, None]
+    slack = np.einsum("nm,tmd,tnd->t", toeplitz_band(5, 0.0, 1.0, N), W, W)
+    assert slack.min() >= chk.min_slack - 1e-12
 
 
 def test_energy_check_rejects_low_order():
@@ -408,10 +416,9 @@ def test_quadratic_form_length_guard():
 
 
 def test_stability_report_roundtrip():
-    rep = stability_report(6, alpha=0.9, matrix_sizes=(10, 50), grid_size=2048)
-    assert rep.verdict
-    payload = rep.to_dict()
+    payload = stability_report(6, alpha=0.9, matrix_sizes=(10, 50), grid_size=2048)
     assert payload["verdict"] == "PASS"
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["property_p"]["positivity_polynomial_min"] > 0.0
     assert payload["property_a"]["max_abs_arg"] <= HALF_PI + 1e-9
     assert float(ENERGY_CONSTANTS[6]) == pytest.approx(1.0 / 24.0)
