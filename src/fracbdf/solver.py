@@ -31,13 +31,23 @@ A = V diag(lam) V^T, exposed by its ``eigensystem()`` method as
 scalar power-series divisions  w^_i(z) = f^_i(z) / (S^(z) + lam_i),  the
 modal form of the fast Toeplitz solve of Hairer, Lubich and Schlichte
 (SIAM J. Sci. Stat. Comput. 1985).  :func:`step_solve` computes each
-reciprocal 1/(S^ + lam_i) by Newton doubling with FFT products; each
-doubling round batches as many modes per FFT call as fit in one block, so
-the short early rounds cost few calls.  The datum d^(z) = z/(1-z) +
-sum_n a_n z^n needs no FFT: its product with a reciprocal is a cumulative
-sum along time plus k-1 shifted adds.  The modal right-hand sides
-rhs_i = (S_0 + lam_i) w^_i are mapped back with one ``from_modal``, and
-every w^n comes from one block solve with (S_0 I + A).  That solve is
+reciprocal 1/(S^ + lam_i) by one of two routes.  With S^ = S_0 (1 + s),
+s_0 = 0, a stiff mode, x_i = S_0 ||s||_1 / (S_0 + lam_i) <= 1/16, takes the
+geometric series in beta_i s, beta_i = S_0/(S_0 + lam_i), cut after 15
+terms (l1 tail <= x^15/(1 - x) <= 9.3e-19 of 1/(S_0 + lam_i)): the powers
+s^t are built once and one matrix product forms every stiff row.  Against
+a 34-digit triangular solve (up to 1025 coefficients, k = 1..6) its rows
+are within 2e-16 of their leading coefficient and 5e-12 of each
+coefficient; Newton doubling, whose error is eps times the leading
+coefficient, is off by 3e-11 to 2e-6 in the small tail coefficients of
+the same rows.  Every other mode takes Newton doubling with FFT products;
+each doubling round batches as many modes per FFT call as fit in one
+block, so the short early rounds cost few calls.  The datum
+d^(z) = z/(1-z) + sum_n a_n z^n needs no FFT: its product with a
+reciprocal is a cumulative sum along time plus k-1 shifted adds.  The modal
+right-hand sides rhs_i = (S_0 + lam_i) w^_i are mapped back with one
+``from_modal``, and every w^n comes from one block solve with
+(S_0 I + A).  That solve is
 backward stable; mapping w itself back would leave transform roundoff that
 A amplifies by its largest eigenvalue (relative residuals near 1e-10 at
 dim 2048).  The per-step residuals are then evaluated for all steps at
@@ -403,20 +413,76 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     return w, residuals
 
 
+#: Shifts whose ratio x = S_0 ||s||_1 / (S_0 + shift) is at most
+#: _STIFF_RATIO take the geometric series of :func:`_reciprocal_series`,
+#: cut after _STIFF_TERMS terms: its l1 tail is at most x^15/(1 - x), below
+#: 9.3e-19 of 1/(S_0 + shift).
+_STIFF_RATIO = 1.0 / 16.0
+_STIFF_TERMS = 15
+
+
 def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Coefficients 0..len(S)-1 of 1/(S(z) + shift), one row per shift.
 
-    Newton doubling: if R is exact to m terms and (S + shift) R = 1 + z^m E,
-    then R - z^m R E is exact to 2m terms.  Both products run as FFT
-    products of length 2m; the first is a middle product, whose wrapped-around
-    part lands only on the m low coefficients that are not used.  Each
-    round transforms as many shifts per call as fit in ``_BLOCK``, so the
-    short early rounds take many rows per FFT call.
+    Write S = S_0 (1 + s) with s_0 = 0 and beta = S_0/(S_0 + shift).  A stiff
+    shift, x = beta ||s||_1 <= :data:`_STIFF_RATIO`, takes the geometric
+    series 1/(S + shift) = sum_t (-beta)^t s^t / (S_0 + shift), cut at
+    :data:`_STIFF_TERMS` terms: the powers s^t are built once per call, and
+    all stiff rows come from one matrix product of their series
+    coefficients with the powers.  Every other shift takes Newton doubling
+    (:func:`_newton_reciprocals`).  The stiff rows used are the trailing
+    run of stiff shifts, which for ascending shifts is all of them.
+    """
+    S0 = float(S[0])
+    s = S / S0
+    s[0] = 0.0
+    beta = S0 / (S0 + shifts)
+    mild = np.flatnonzero(beta * np.abs(s).sum() > _STIFF_RATIO)
+    first = mild[-1] + 1 if len(mild) else 0
+    R = np.empty((len(shifts), len(S)))
+    if first:
+        _newton_reciprocals(S, shifts[:first], R[:first])
+    if first < len(shifts):
+        coef = np.empty((len(shifts) - first, _STIFF_TERMS))
+        coef[:, 0] = 1.0 / (S0 + shifts[first:])
+        coef[:, 1:] = -beta[first:, None]
+        np.cumprod(coef, axis=1, out=coef)
+        np.matmul(coef, _series_powers(s, _STIFF_TERMS), out=R[first:])
+    return R
+
+
+def _series_powers(s: np.ndarray, terms: int) -> np.ndarray:
+    """The powers s^0..s^(terms-1) of a series with s_0 = 0, truncated to
+    len(s) coefficients, one row each.  s^t has t leading zeros, which are
+    set exactly."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    M = len(s)
+    P = np.zeros((terms, M))
+    P[0, 0] = 1.0
+    P[1] = s
+    nfft = next_fast_len(2 * M - 1, real=True)
+    s_hat = rfft(s, nfft)
+    for t in range(2, terms):
+        P[t] = irfft(rfft(P[t - 1], nfft) * s_hat, nfft)[:M]
+        P[t, :t] = 0.0
+    return P
+
+
+def _newton_reciprocals(S: np.ndarray, shifts: np.ndarray, R: np.ndarray) -> None:
+    """Write coefficients 0..len(S)-1 of 1/(S(z) + shift) into the rows of R,
+    one per shift, by Newton doubling.
+
+    If R is exact to m terms and (S + shift) R = 1 + z^m E, then R - z^m R E
+    is exact to 2m terms.  Both products run as FFT products of length 2m;
+    the first is a middle product, whose wrapped-around part lands only on
+    the m low coefficients that are not used.  Each round transforms as
+    many shifts per call as fit in ``_BLOCK``, so the short early rounds
+    take many rows per FFT call.
     """
     from scipy.fft import irfft, next_fast_len, rfft
 
     M = len(S)
-    R = np.empty((len(shifts), M))
     R[:, 0] = 1.0 / (S[0] + shifts)
     m = 1
     while m < M:
@@ -432,7 +498,6 @@ def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             R[b:b + rows, m:m2] = -irfft(R_hat * rfft(E, nfft, axis=1), nfft,
                                          axis=1)[:, :m2 - m]
         m = m2
-    return R
 
 
 def _modal_march(R: np.ndarray, coef: np.ndarray, corrections: list[float]) -> np.ndarray:

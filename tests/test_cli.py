@@ -350,6 +350,15 @@ def test_converge_at_large_lambda_keeps_its_order(capsys):
     assert json.loads(out)["orders"] == pytest.approx([3.0, 3.0], abs=0.1)
 
 
+def test_converge_twin_beyond_the_series_keeps_its_order(capsys):
+    # the twin's E_1/2(-50) used to come from a series that overflows at
+    # 30 digits: errors inf, orders nan, exit 0
+    code, out = run_cli(capsys, "converge", "--k", "3", "--alpha", "0.5", "--lambda", "50",
+                        "--n-list", "64,128,256", "--precision", "30", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orders"] == pytest.approx([3.0, 3.0], abs=0.1)
+
+
 @pytest.mark.parametrize("alpha, lam", (("0.1", "1e308"), ("0.5", "1e200"),
                                         ("0.5", "1.3e154")))
 def test_converge_rejects_overflowing_lambda(capsys, alpha, lam):

@@ -6,7 +6,9 @@
 * the LDL^T tridiagonal solve against banded Cholesky;
 * the residual bound, tripped by a corrupted march;
 * input validation of the perturbation experiment;
-* the inverse-iteration witness of a large failing band.
+* the inverse-iteration witness of a large failing band;
+* the stiff-mode series route of the reciprocal series against a 34-digit
+  triangular solve and against Newton doubling.
 """
 
 import json
@@ -21,7 +23,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from fracbdf import (FractionalOperatorSpec, InternalConsistencyError, MultiTerm,
                      ParameterDomainError, ScalarOperator, SingleTerm, SubdiffusionProblem,
-                     TridiagonalLaplacian, convergence_harness, multiplier_energy_check,
+                     TridiagonalLaplacian, bdf_l_coefficients, convergence_harness,
+                     discretize, multiplier_energy_check,
                      positivity_generating_function, scalar_problem, stability,
                      stability_experiment, stability_refinement, step_solve, solver)
 from fracbdf.cli import main
@@ -331,3 +334,92 @@ def test_overflowing_operator_scale_is_bad_input(lam):
     # norms of the step right-hand sides (~lam * rho) a little below that
     with pytest.raises(ParameterDomainError, match="overflows|too large"):
         step_solve(scalar_problem(lam, 0.5), 3, 16)
+
+
+# ---------------------------------------------------------------------------
+# reciprocal series: the stiff-mode geometric series against Newton doubling
+# ---------------------------------------------------------------------------
+
+def _reciprocal_mp(S, shift):
+    """Coefficients of 1/(S(z) + shift) by a 34-digit triangular solve."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(34):
+        Sm = [mpf(float(v)) for v in S]
+        d = Sm[0] + mpf(float(shift))
+        R = [1 / d]
+        for n in range(1, len(S)):
+            R.append(-mp.fdot(Sm[1:n + 1], R[::-1]) / d)
+        return np.array([float(r) for r in R])
+
+
+def _ratios(S, shifts):
+    """x = S_0 ||s||_1 / (S_0 + shift) with S = S_0 (1 + s)."""
+    return S[0] / (S[0] + shifts) * (np.abs(S[1:]).sum() / S[0])
+
+
+_RECIPROCAL_SPECS = {
+    "single": FractionalOperatorSpec(SingleTerm(0.6)),
+    "two-term": FractionalOperatorSpec(MultiTerm(((1.0, 0.7), (0.5, 0.3)))),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_RECIPROCAL_SPECS))
+@pytest.mark.parametrize("k", (1, 3, 6))
+def test_reciprocal_series_matches_mp_triangular_solve(k, spec):
+    # shifts with x just inside and outside the series bound, and 10x and
+    # 1e4x past it, ascending like eigenvalues
+    M = 256
+    S = discretize(_RECIPROCAL_SPECS[spec], k, 1.0 / (M - 1), M - 1).untempered_weights
+    xs = solver._STIFF_RATIO * np.array([1.01, 0.99, 0.1, 1e-4])
+    shifts = S[0] * (np.abs(S[1:]).sum() / S[0] / xs - 1.0)
+    assert np.all(np.diff(shifts) > 0.0)
+    stiff = _ratios(S, shifts) <= solver._STIFF_RATIO
+    assert stiff.tolist() == [False, True, True, True]
+    R = solver._reciprocal_series(S, shifts)
+    for row, shift, is_stiff in zip(R, shifts, stiff):
+        ref = _reciprocal_mp(S, shift)
+        assert np.max(np.abs(row - ref)) <= 1e-15 * abs(ref[0])
+        if is_stiff:
+            assert np.max(np.abs(row - ref) / np.abs(ref)) <= 1e-10
+
+
+def test_reciprocal_series_without_stiff_modes_is_newton():
+    S = discretize(_RECIPROCAL_SPECS["single"], 4, 1.0 / 300, 300).untempered_weights
+    shifts = np.linspace(0.1, 2.0, 7) * S[0]
+    assert np.all(_ratios(S, shifts) > solver._STIFF_RATIO)
+    newton = np.empty((len(shifts), len(S)))
+    solver._newton_reciprocals(S, shifts, newton)
+    assert np.array_equal(solver._reciprocal_series(S, shifts), newton)
+
+
+def test_large_sigma_problems_cover_both_routes():
+    # the dim-64 problems of test_march.test_large_sigma_matches_reference
+    # must split their modes between both routes, so that a change of the
+    # route constants cannot leave one route untested there
+    from test_march import TIME
+
+    lam = TridiagonalLaplacian(64).eigenvalues()
+    split = 0
+    for spec in (TIME["single"], TIME["multi"]):
+        for k in (1, 3, 5, 6):
+            S = discretize(spec, k, 1.0 / 300, 300).untempered_weights
+            stiff = _ratios(S, lam) <= solver._STIFF_RATIO
+            split += bool(stiff.any() and not stiff.all())
+    assert split
+
+
+def test_stiff_convergence_path_matches_newton(monkeypatch):
+    # lam = 1e4 is stiff on every grid; no shift passes a zero ratio bound,
+    # so the patched run is Newton doubling throughout
+    args = (3, 0.5, 1e4, (64, 128, 256, 512), ((0.0, True),))
+    for N in args[3]:
+        tau = 1.0 / N
+        S = tau ** -0.5 * bdf_l_coefficients(3, 0.5, N)
+        assert _ratios(S, np.array([1e4]))[0] <= solver._STIFF_RATIO
+    report = _path_reports(*args)[0]
+    monkeypatch.setattr(solver, "_STIFF_RATIO", 0.0)
+    newton = _path_reports(*args)[0]
+    assert report.orders == pytest.approx([3.0, 3.0, 3.0], abs=0.1)
+    floor = 64 * np.finfo(float).eps
+    assert np.max(np.abs(np.subtract(report.errors, newton.errors))) <= floor

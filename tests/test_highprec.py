@@ -22,6 +22,17 @@ def test_mp_mittag_leffler_matches_float():
     assert v == pytest.approx(mittag_leffler(0.5, -1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("x", (10, 50))
+def test_mp_mittag_leffler_beyond_the_series(x):
+    # E_1/2(-x) = exp(x^2) erfc(x); at dps 30 the series peaks at 10^43
+    # (x = 10) and beyond 10^1000 (x = 50), so the value is the integral's
+    with mp.workdps(30):
+        v = mittag_leffler_mp(0.5, -x)
+    with mp.workdps(40):
+        ref = mp.exp(mp.mpf(x) ** 2) * mp.erfc(x)
+        assert abs(v - ref) <= mp.mpf(10) ** -28 * ref
+
+
 def test_mp_solver_matches_float_solver():
     res = step_solve(scalar_problem(1.0, 0.5, sigma=0.5), 3, 32)
     u_mp = solve_scalar_mp(3, 0.5, 0.5, 1.0, 1.0, 1.0, 32, dps=30)
