@@ -30,35 +30,36 @@ A = V diag(lam) V^T, exposed by its ``eigensystem()`` method as
 (lam, to_modal, from_modal).  In the modal basis the system splits into
 scalar power-series divisions  w^_i(z) = f^_i(z) / (S^(z) + lam_i),  the
 modal form of the fast Toeplitz solve of Hairer, Lubich and Schlichte
-(SIAM J. Sci. Stat. Comput. 1985).  :func:`step_solve` computes each
-reciprocal 1/(S^ + lam_i) by one of two routes.  With S^ = S_0 (1 + s),
-s_0 = 0, a stiff mode, x_i = S_0 ||s||_1 / (S_0 + lam_i) <= 1/16, takes the
-geometric series in beta_i s, beta_i = S_0/(S_0 + lam_i), cut after 15
-terms (l1 tail <= x^15/(1 - x) <= 9.3e-19 of 1/(S_0 + lam_i)): the powers
-s^t are built once and one matrix product forms every stiff row.  Against
-a 34-digit triangular solve (up to 1025 coefficients, k = 1..6) its rows
-are within 2e-16 of their leading coefficient and 5e-12 of each
-coefficient; Newton doubling, whose error is eps times the leading
-coefficient, is off by 3e-11 to 2e-6 in the small tail coefficients of
-the same rows.  Every other mode takes Newton doubling with FFT products;
-each doubling round batches as many modes per FFT call as fit in one
-block, so the short early rounds cost few calls.  The datum
-d^(z) = z/(1-z) + sum_n a_n z^n needs no FFT: its product with a
-reciprocal is a cumulative sum along time plus k-1 shifted adds.  The modal
-right-hand sides rhs_i = (S_0 + lam_i) w^_i are mapped back with one
-``from_modal``, and every w^n comes from one block solve with
-(S_0 I + A).  That solve is
-backward stable; mapping w itself back would leave transform roundoff that
-A amplifies by its largest eigenvalue (relative residuals near 1e-10 at
-dim 2048).  The per-step residuals are then evaluated for all steps at
-once, in the untempered frame, from a physical-space FFT convolution of S^
-with w^; they never touch the eigensystem, so they check the modal solve
-independently.  Scaling row n by e^(sigma*n*tau) leaves its relative
-residual unchanged, so these are the residuals of the tempered system too.
-The series d^ / (S^ + lam_i) do not depend on rho, so the same kernel
-marches a (trials x dim) block of data at once; :func:`stability_experiment`
-uses that for its perturbations and :func:`step_solve` is its one-datum
-case.
+(SIAM J. Sci. Stat. Comput. 1985).  :func:`step_solve` factors the
+reciprocals as 1/(S^ + lam_i) = sum_r C[r, i] B_r over K basis series.
+With S^ = S_0 (1 + s), s_0 = 0, a stiff mode, x_i = S_0 ||s||_1 /
+(S_0 + lam_i) <= 1/16, takes the geometric series in beta_i s,
+beta_i = S_0/(S_0 + lam_i), cut after 15 terms (l1 tail <= x^15/(1 - x)
+<= 9.3e-19 of 1/(S_0 + lam_i)): the stiff modes share the rows s^t of B,
+and C holds their series coefficients.  Against a 34-digit triangular
+solve (up to 1025 coefficients, k = 1..6) these are within 2e-16 of the
+leading coefficient and 5e-12 of each coefficient; Newton doubling, whose
+error is eps times the leading coefficient, is off by 3e-11 to 2e-6 in the
+small tail coefficients.  Each other (mild) mode has its own row of B by
+Newton doubling with FFT products, batched per round into as few FFT calls
+as fit in one block, and a unit column of C.  So K is the number of mild
+modes, plus 15 if any mode is stiff: far below dim on a fine grid.  The
+datum d^(z) = z/(1-z) + sum_n a_n z^n needs no FFT: its product with a row
+of B is a cumulative sum along time plus k-1 shifted adds.  Only the K
+modal rows C[r] (S_0 + lam) (A rho) are mapped back, by one
+``from_modal``, and one matrix product with the K series d^ B_r gives the
+right-hand sides (S_0 I + A) w^n of every step; one block solve with
+(S_0 I + A) gives every w^n.  That solve is backward stable; mapping w
+itself back would leave transform roundoff that A amplifies by its largest
+eigenvalue (relative residuals near 1e-10 at dim 2048).  The per-step
+residuals are then evaluated for all steps at once, in the untempered
+frame, from a physical-space FFT convolution of S^ with w^; they never
+touch the eigensystem, so they check the modal solve independently.
+Scaling row n by e^(sigma*n*tau) leaves its relative residual unchanged,
+so these are the residuals of the tempered system too.  The basis does
+not depend on rho, so the same kernel marches a (trials x dim) block of
+data at once; :func:`stability_experiment` uses that for its perturbations
+and :func:`step_solve` is its one-datum case.
 
 Every relative residual must stay below :data:`RESIDUAL_BOUND`; a step
 above it raises :class:`~fracbdf.errors.InternalConsistencyError`, naming
@@ -369,19 +370,18 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
 
 
 def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float],
-                      R: np.ndarray | None = None):
+                      basis: tuple | None = None):
     """The untempered march of the data rows rho (trials x dim) with weights
     S = S^ and datum d^(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
 
     Returns w^ of shape (N+1, trials, dim) and its relative residuals, shape
-    (N+1, trials).  The modal series d^ / (S^ + lam_i) do not depend on the
-    data, so they are computed once for the block, and the reciprocals
-    R = 1/(S^ + lam_i) (:func:`_reciprocal_series`) do not depend on the
-    corrections either: a caller marching several data with the same S^
-    and operator may pass R.  Weights with S^_0 <= 0 or a non-finite entry
-    (a scale b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError,
-    and so do data whose modal coefficients (S^_0 + lam_i) (A rho)_i overflow
-    (a scalar lam beyond ~1e154 with rho = 1); a residual above
+    (N+1, trials).  The reciprocal basis (:func:`_reciprocal_basis` of S^
+    and lam) depends on neither the data nor the corrections: a caller
+    marching several data with the same S^ and operator may pass it as
+    ``basis``.  Weights with S^_0 <= 0 or a non-finite entry (a scale
+    b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError, and so
+    do data whose modal coefficients (S^_0 + lam_i) (A rho)_i overflow (a
+    scalar lam beyond ~1e154 with rho = 1); a residual above
     :data:`RESIDUAL_BOUND` raises InternalConsistencyError.
     """
     if not (S[0] > 0.0 and np.isfinite(S).all()):
@@ -398,9 +398,7 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
         raise ParameterDomainError(
             f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
             f"largest eigenvalue {float(lam.max())!r}")
-    # A reciprocal built here is a temporary, freed before the block solve.
-    rhs = from_modal(_modal_march(_reciprocal_series(S, lam) if R is None else R,
-                                  -(S[0] + lam) * modal, corrections))
+    rhs = _march_rhs(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis)
     M, trials, dim = rhs.shape
     w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
     del rhs                    # at most two (N+1) x trials x dim arrays live at once
@@ -413,60 +411,74 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     return w, residuals
 
 
-#: Shifts whose ratio x = S_0 ||s||_1 / (S_0 + shift) is at most
-#: _STIFF_RATIO take the geometric series of :func:`_reciprocal_series`,
-#: cut after _STIFF_TERMS terms: its l1 tail is at most x^15/(1 - x), below
-#: 9.3e-19 of 1/(S_0 + shift).
+def _march_rhs(S: np.ndarray, lam: np.ndarray, coef: np.ndarray, from_modal,
+               corrections: list[float], basis: tuple | None = None) -> np.ndarray:
+    """Physical right-hand sides, shape (N+1, trials, dim): row [n, b] is
+    from_modal of the modal vector coef[b, i] [d/(S + lam_i)]_n, for a
+    (trials, dim) block coef and d(z) = z/(1 - z) + sum_n a_n z^n.
+
+    With (B, C) = :func:`_reciprocal_basis`, d/(S + lam_i) = sum_r C[r, i] d B_r:
+    only the K rows G_r = from_modal(C[r] coef) are mapped back, and one
+    matrix product sum_r (d B_r)_n G_r forms every step.  d B is a cumsum
+    shifted by one step plus one shifted add per correction a_n =
+    corrections[n-1].  B, C and G are freed on return, before the block solve.
+    """
+    B, C = _reciprocal_basis(S, lam) if basis is None else basis
+    K, M = B.shape
+    G = from_modal(C[:, None, :] * coef)
+    dB = np.empty_like(B)
+    dB[:, 0] = 0.0
+    np.cumsum(B[:, :-1], axis=1, out=dB[:, 1:])
+    for n, a in enumerate(corrections, start=1):
+        dB[:, n:] += a * B[:, :M - n]
+    return (dB.T @ G.reshape(K, -1)).reshape(M, *coef.shape)
+
+
+#: Shifts with x = S_0 ||s||_1 / (S_0 + shift) <= _STIFF_RATIO take the
+#: geometric series of :func:`_reciprocal_basis`, cut after _STIFF_TERMS
+#: terms: its l1 tail is at most x^15/(1 - x) <= 9.3e-19 of 1/(S_0 + shift).
 _STIFF_RATIO = 1.0 / 16.0
 _STIFF_TERMS = 15
 
 
-def _reciprocal_series(S: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Coefficients 0..len(S)-1 of 1/(S(z) + shift), one row per shift.
+def _reciprocal_basis(S: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C), shapes (K, len(S)) and (K, len(shifts)), with coefficients
+    0..len(S)-1 of 1/(S(z) + shift_i) equal to sum_r C[r, i] B_r.
 
     Write S = S_0 (1 + s) with s_0 = 0 and beta = S_0/(S_0 + shift).  A stiff
     shift, x = beta ||s||_1 <= :data:`_STIFF_RATIO`, takes the geometric
     series 1/(S + shift) = sum_t (-beta)^t s^t / (S_0 + shift), cut at
-    :data:`_STIFF_TERMS` terms: the powers s^t are built once per call, and
-    all stiff rows come from one matrix product of their series
-    coefficients with the powers.  Every other shift takes Newton doubling
-    (:func:`_newton_reciprocals`).  The stiff rows used are the trailing
-    run of stiff shifts, which for ascending shifts is all of them.
+    :data:`_STIFF_TERMS` terms: the stiff shifts share the powers s^t as
+    rows of B, and their columns of C hold the series coefficients.  Every
+    other (mild) shift has a row of B by Newton doubling
+    (:func:`_newton_reciprocals`) and a unit column of C.
     """
-    S0 = float(S[0])
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    M, S0 = len(S), float(S[0])
     s = S / S0
     s[0] = 0.0
     beta = S0 / (S0 + shifts)
-    mild = np.flatnonzero(beta * np.abs(s).sum() > _STIFF_RATIO)
-    first = mild[-1] + 1 if len(mild) else 0
-    R = np.empty((len(shifts), len(S)))
-    if first:
-        _newton_reciprocals(S, shifts[:first], R[:first])
-    if first < len(shifts):
-        coef = np.empty((len(shifts) - first, _STIFF_TERMS))
-        coef[:, 0] = 1.0 / (S0 + shifts[first:])
-        coef[:, 1:] = -beta[first:, None]
-        np.cumprod(coef, axis=1, out=coef)
-        np.matmul(coef, _series_powers(s, _STIFF_TERMS), out=R[first:])
-    return R
-
-
-def _series_powers(s: np.ndarray, terms: int) -> np.ndarray:
-    """The powers s^0..s^(terms-1) of a series with s_0 = 0, truncated to
-    len(s) coefficients, one row each.  s^t has t leading zeros, which are
-    set exactly."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    M = len(s)
-    P = np.zeros((terms, M))
-    P[0, 0] = 1.0
-    P[1] = s
-    nfft = next_fast_len(2 * M - 1, real=True)
-    s_hat = rfft(s, nfft)
-    for t in range(2, terms):
-        P[t] = irfft(rfft(P[t - 1], nfft) * s_hat, nfft)[:M]
-        P[t, :t] = 0.0
-    return P
+    stiff = beta * np.abs(s).sum() <= _STIFF_RATIO
+    mild = np.flatnonzero(~stiff)
+    terms = _STIFF_TERMS if stiff.any() else 0
+    B = np.zeros((terms + len(mild), M))
+    C = np.zeros((len(B), len(shifts)))
+    if terms:
+        B[0, 0] = 1.0
+        B[1] = s
+        nfft = next_fast_len(2 * M - 1, real=True)
+        s_hat = rfft(s, nfft)
+        for t in range(2, terms):          # s^t has t leading zeros, set exactly
+            B[t] = irfft(rfft(B[t - 1], nfft) * s_hat, nfft)[:M]
+            B[t, :t] = 0.0
+        C[0] = stiff / (S0 + shifts)         # zero in the mild columns
+        C[1:terms] = -beta
+        np.cumprod(C[:terms], axis=0, out=C[:terms])
+    if len(mild):
+        _newton_reciprocals(S, shifts[mild], B[terms:])
+        C[terms + np.arange(len(mild)), mild] = 1.0
+    return B, C
 
 
 def _newton_reciprocals(S: np.ndarray, shifts: np.ndarray, R: np.ndarray) -> None:
@@ -498,29 +510,6 @@ def _newton_reciprocals(S: np.ndarray, shifts: np.ndarray, R: np.ndarray) -> Non
             R[b:b + rows, m:m2] = -irfft(R_hat * rfft(E, nfft, axis=1), nfft,
                                          axis=1)[:, :m2 - m]
         m = m2
-
-
-def _modal_march(R: np.ndarray, coef: np.ndarray, corrections: list[float]) -> np.ndarray:
-    """Modal trajectories: out[:, b, i] = coef[b, i] * d(z) R_i(z) to N+1
-    terms, for the reciprocal series R_i = 1/(S + lam_i) (one row per mode),
-    a (trials, dim) block of coefficients and the datum
-    d(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
-
-    The product with z/(1 - z) is a cumulative sum shifted by one step, so
-    the datum costs one cumsum plus one shifted add per correction.
-    """
-    modes, M = R.shape
-    out = np.empty((M, *coef.shape))
-    rows = max(1, _BLOCK // M)
-    for b in range(0, modes, rows):
-        Rb = R[b:b + rows]
-        block = np.empty_like(Rb)
-        block[:, 0] = 0.0
-        np.cumsum(Rb[:, :-1], axis=1, out=block[:, 1:])
-        for n, a in enumerate(corrections, start=1):
-            block[:, n:] += a * Rb[:, :M - n]
-        out[:, :, b:b + rows] = block.T[:, None, :] * coef[:, b:b + rows]
-    return out
 
 
 def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
@@ -612,8 +601,7 @@ def _rho_from_config(value, A) -> np.ndarray:
             raise ParameterDomainError("the 'sin' profile needs a tridiagonal operator")
         amp = float(value.get("amplitude", 1.0))
         return amp * np.sin(math.pi * A.grid() / A.length)
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    return arr
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
 @parses_config
@@ -703,8 +691,8 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     untempered frame S^ = tau^(-alpha) l, the reciprocal 1/(S^ + lam), the
     block solve and the residuals are sigma-free, and sigma enters only
     through the factor e^(-sigma*N*tau) of the terminal value.  So the
-    float64 path builds the l_j once, each grid's reciprocal once, and each
-    (grid, corrected) march once; every terminal value is formed with the
+    float64 path builds the l_j once, each grid's reciprocal basis once, and
+    each (grid, corrected) march once; every terminal value is formed with the
     operations :func:`step_solve` uses, so each error is bitwise that of a
     separate :func:`convergence_harness` call.  The twin likewise builds its
     weights and E_alpha once per path and marches each (grid, corrected) once.
@@ -735,9 +723,10 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
         for N in N_list:
             tau = problems[0].T / N
             S = tau ** (-alpha) * l[:N + 1]      # bitwise the operator's S^
-            R = _reciprocal_series(S, A.eigensystem()[0])
+            basis = _reciprocal_basis(S, A.eigensystem()[0])
             for corrected in max_residual:
-                w, residuals = _untempered_march(A, S, rho_b, _corrections(k, corrected), R)
+                w, residuals = _untempered_march(A, S, rho_b, _corrections(k, corrected),
+                                                 basis)
                 max_residual[corrected] = max(max_residual[corrected], float(residuals.max()))
                 for i, (p, (_, c)) in enumerate(zip(problems, variants)):
                     if c == corrected:     # u^N with the operations of step_solve

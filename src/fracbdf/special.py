@@ -4,10 +4,10 @@ solution of the scalar single-term model.
 E_alpha(z) = sum_m z^m / Gamma(alpha*m + 1).  For z in [-5, 0] the power
 series is summed directly; because Gamma(alpha*m + 1) grows slowly for
 small alpha, the alternating terms can peak many orders of magnitude above
-the result, so the summation precision is chosen adaptively from the peak
-term (plain float64 when safe, mpmath otherwise).  For z < -5, or when the
-series is not viable (more than 60 digits of cancellation, or terms that
-have not decayed within a 200,000-term budget), the completely monotone
+the result.  Float64 sums a peak of at most 10^0.25, mpmath a larger one
+for alpha > 0.95.  Every other z in [-5, 0], z < -5, and a series that is
+not viable (more than 60 digits of cancellation, or terms that have not
+decayed within a 200,000-term budget) take the completely monotone
 integral representation, scaled by u = v/x so that the integrand's mass
 stays at v = O(1) for every x (unscaled, it is a spike of width ~1/x at
 u = 0 that quadrature misses for large x),
@@ -16,7 +16,7 @@ u = 0 that quadrature misses for large x),
                   integral_0^inf exp(-v^(1/alpha))
                                  / ((v/x)^2 + 2(v/x) cos(alpha*pi) + 1) dv
 
-is evaluated with adaptive quadrature.  The two routes agree on an overlap
+evaluated with adaptive quadrature.  The two routes agree on an overlap
 band, which the test suite checks at 1e-10.  Orders below alpha = 0.005 are
 refused: for small alpha the integrand exp(-v^(1/alpha)) approaches a step
 at v = 1, and at alpha = 0.002 the quadrature is off by ~4e-4 relative
@@ -48,6 +48,12 @@ _MAX_CANCEL_DIGITS = 60.0
 _TERM_BUDGET = 200000
 #: Smallest order accepted (module docstring).
 _MIN_ALPHA = 0.005
+#: Largest peak term, in digits, of a float64 series sum: its terms carry the
+#: rounding of their exponents, 4e-13 relative at a peak of 10^1, 3e-11 at 10^3.
+_FLOAT_PEAK_DIGITS = 0.25
+#: Orders up to this integrate a larger peak (within 3e-15 of 50 digits on
+#: [-5, 0], without mpmath); above it the integrand nears a pole at v = x.
+_INTEGRAL_MAX_ALPHA = 0.95
 #: Digits of the working precision that :func:`mittag_leffler_mp` keeps
 #: when it sums the series; with fewer left it integrates.
 _MP_SERIES_DIGITS = 25
@@ -155,23 +161,26 @@ def _integral(alpha: float, z: float) -> float:
     return math.sin(alpha * math.pi) / (alpha * math.pi) * val / x
 
 
-def _series(alpha: float, z: float) -> float | None:
+def _series(alpha: float, z: float, extended: bool = True) -> float | None:
     """E_alpha(z) by the power series, or None when the series is not
-    viable: more than ``_MAX_CANCEL_DIGITS`` digits of cancellation, or
-    terms that have not decayed within ``_TERM_BUDGET``."""
+    viable (more than ``_MAX_CANCEL_DIGITS`` digits of cancellation, or
+    terms that have not decayed within ``_TERM_BUDGET``) or, without
+    ``extended``, needs mpmath (a peak above 10^_FLOAT_PEAK_DIGITS)."""
     n_terms, peak = _series_profile(alpha, z, give_up=_MAX_CANCEL_DIGITS)
     if peak > _MAX_CANCEL_DIGITS or n_terms >= _TERM_BUDGET:
         return None
-    if peak <= 3.0:
+    if peak <= _FLOAT_PEAK_DIGITS:
         return _series_float(alpha, z, n_terms)
+    if not extended:
+        return None
     from mpmath import mp
     with mp.workdps(30 + int(peak)):          # 25 digits, the cancellation, 5 guard
         return float(_series_mp(alpha, z))
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """E_alpha(z) for 0.005 <= alpha <= 1 and z <= 0: the series if
-    |z| <= 5 and it is viable, else the integral representation."""
+    """E_alpha(z) for 0.005 <= alpha <= 1 and z <= 0: the series if |z| <= 5
+    and it is viable (in mpmath only for alpha > 0.95), else the integral."""
     if not 0.0 < alpha <= 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     if alpha < _MIN_ALPHA:
@@ -183,7 +192,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
         return 1.0
     if alpha == 1.0:
         return math.exp(z)
-    value = _series(alpha, z) if z >= -_SERIES_CUTOFF else None
+    value = (_series(alpha, z, extended=alpha > _INTEGRAL_MAX_ALPHA)
+             if z >= -_SERIES_CUTOFF else None)
     return _integral(alpha, z) if value is None else value
 
 

@@ -7,8 +7,9 @@
 * the residual bound, tripped by a corrupted march;
 * input validation of the perturbation experiment;
 * the inverse-iteration witness of a large failing band;
-* the stiff-mode series route of the reciprocal series against a 34-digit
-  triangular solve and against Newton doubling.
+* the stiff-mode series route of the reciprocal basis against a 34-digit
+  triangular solve and against Newton doubling;
+* the factored march against the per-mode march (kept here verbatim).
 """
 
 import json
@@ -21,10 +22,10 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from fracbdf import (FractionalOperatorSpec, InternalConsistencyError, MultiTerm,
-                     ParameterDomainError, ScalarOperator, SingleTerm, SubdiffusionProblem,
-                     TridiagonalLaplacian, bdf_l_coefficients, convergence_harness,
-                     discretize, multiplier_energy_check,
+from fracbdf import (DenseSPDOperator, FractionalOperatorSpec, InternalConsistencyError,
+                     MultiTerm, ParameterDomainError, ScalarOperator, SingleTerm,
+                     SubdiffusionProblem, TridiagonalLaplacian, bdf_l_coefficients,
+                     convergence_harness, discretize, multiplier_energy_check,
                      positivity_generating_function, scalar_problem, stability,
                      stability_experiment, stability_refinement, step_solve, solver)
 from fracbdf.cli import main
@@ -175,16 +176,16 @@ def test_ldlt_solver_leaves_rhs_untouched():
 # residual gate
 # ---------------------------------------------------------------------------
 
-def _corrupt_modal_march(monkeypatch, step, trial, mode):
-    """Make the march scale one modal coefficient by 1.01."""
-    original = solver._modal_march
+def _corrupt_march_rhs(monkeypatch, step, trial, component):
+    """Make the march scale one entry of its physical right-hand sides by 1.01."""
+    original = solver._march_rhs
 
-    def corrupted(R, coef, corrections):
-        out = original(R, coef, corrections)
-        out[step, trial, mode] *= 1.01
+    def corrupted(*args):
+        out = original(*args)
+        out[step, trial, component] *= 1.01
         return out
 
-    monkeypatch.setattr(solver, "_modal_march", corrupted)
+    monkeypatch.setattr(solver, "_march_rhs", corrupted)
 
 
 def _laplacian_problem(dim=16):
@@ -201,14 +202,14 @@ def test_residual_bound_is_documented():
 def test_corrupted_march_trips_the_residual_gate(monkeypatch):
     problem = _laplacian_problem()
     assert step_solve(problem, 3, 40).residuals.max() < solver.RESIDUAL_BOUND
-    _corrupt_modal_march(monkeypatch, step=7, trial=0, mode=0)
+    _corrupt_march_rhs(monkeypatch, step=7, trial=0, component=0)
     with pytest.raises(InternalConsistencyError, match=r"step 7 of trial 0"):
         step_solve(problem, 3, 40)
 
 
 def test_corrupted_perturbation_march_names_the_trial(monkeypatch):
     problem = _laplacian_problem()
-    _corrupt_modal_march(monkeypatch, step=12, trial=2, mode=3)
+    _corrupt_march_rhs(monkeypatch, step=12, trial=2, component=3)
     with pytest.raises(InternalConsistencyError, match=r"step 12 of trial 2"):
         stability_experiment(problem, 4, 32, perturbations=4)
 
@@ -223,7 +224,7 @@ def _write_config(tmp_path):
 
 
 def test_cli_reports_a_tripped_gate_as_json(monkeypatch, capsys, tmp_path):
-    _corrupt_modal_march(monkeypatch, step=5, trial=0, mode=0)
+    _corrupt_march_rhs(monkeypatch, step=5, trial=0, component=0)
     code = main(["solve", "--config", _write_config(tmp_path), "--k", "3", "--n", "20"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
@@ -376,8 +377,9 @@ def test_reciprocal_series_matches_mp_triangular_solve(k, spec):
     assert np.all(np.diff(shifts) > 0.0)
     stiff = _ratios(S, shifts) <= solver._STIFF_RATIO
     assert stiff.tolist() == [False, True, True, True]
-    R = solver._reciprocal_series(S, shifts)
-    for row, shift, is_stiff in zip(R, shifts, stiff):
+    B, C = solver._reciprocal_basis(S, shifts)
+    assert B.shape == (solver._STIFF_TERMS + 1, M) and C.shape == (len(B), len(shifts))
+    for row, shift, is_stiff in zip(C.T @ B, shifts, stiff):
         ref = _reciprocal_mp(S, shift)
         assert np.max(np.abs(row - ref)) <= 1e-15 * abs(ref[0])
         if is_stiff:
@@ -390,7 +392,110 @@ def test_reciprocal_series_without_stiff_modes_is_newton():
     assert np.all(_ratios(S, shifts) > solver._STIFF_RATIO)
     newton = np.empty((len(shifts), len(S)))
     solver._newton_reciprocals(S, shifts, newton)
-    assert np.array_equal(solver._reciprocal_series(S, shifts), newton)
+    B, C = solver._reciprocal_basis(S, shifts)
+    assert np.array_equal(B, newton) and np.array_equal(C, np.eye(len(shifts)))
+    assert np.array_equal(C.T @ B, newton)
+
+
+# ---------------------------------------------------------------------------
+# factored march: the reciprocal basis against the per-mode march
+# ---------------------------------------------------------------------------
+
+def reference_rhs(A, S, rho, corrections):
+    """Physical right-hand sides of the per-mode march before factoring:
+    a Newton reciprocal for every mode, the modal cumsum and one full
+    from_modal of the (N+1, trials, dim) modal block (kept here verbatim)."""
+    lam, to_modal, from_modal = A.eigensystem()
+    R = np.empty((len(lam), len(S)))
+    solver._newton_reciprocals(S, lam, R)
+    coef = -(S[0] + lam) * to_modal(A.matvec(rho.T).T)
+    modes, M = R.shape
+    out = np.empty((M, *coef.shape))
+    rows = max(1, _BLOCK // M)
+    for b in range(0, modes, rows):
+        Rb = R[b:b + rows]
+        block = np.empty_like(Rb)
+        block[:, 0] = 0.0
+        np.cumsum(Rb[:, :-1], axis=1, out=block[:, 1:])
+        for n, a in enumerate(corrections, start=1):
+            block[:, n:] += a * Rb[:, :M - n]
+        out[:, :, b:b + rows] = block.T[:, None, :] * coef[:, b:b + rows]
+    return from_modal(out)
+
+
+def _factored_rhs(A, S, rho, corrections):
+    lam, to_modal, from_modal = A.eigensystem()
+    coef = -(S[0] + lam) * to_modal(A.matvec(rho.T).T)
+    return solver._march_rhs(S, lam, coef, from_modal, corrections)
+
+
+def _dense_spd(dim):
+    rng = np.random.default_rng(dim)
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return DenseSPDOperator((Q * np.geomspace(1.0, 1e5, dim)) @ Q.T)
+
+
+#: (operator, alpha, number of mild modes) on a 256-step grid with k = 4:
+#: the 64-point Laplacian at its three splits, and a dense SPD operator.
+_FACTORED_CASES = {
+    "all-mild": (lambda: TridiagonalLaplacian(64, length=4.0), 0.9, 64),
+    "mixed": (lambda: TridiagonalLaplacian(64), 0.7, 17),
+    "mostly-stiff": (lambda: TridiagonalLaplacian(64), 0.3, 3),
+    "dense": (lambda: _dense_spd(48), 0.6, 30),
+}
+
+
+@pytest.mark.parametrize("trials", (1, 10))
+@pytest.mark.parametrize("case", sorted(_FACTORED_CASES))
+def test_factored_march_matches_per_mode_march(case, trials):
+    make, alpha, n_mild = _FACTORED_CASES[case]
+    A, N, k = make(), 256, 4
+    S = discretize(FractionalOperatorSpec(SingleTerm(alpha), sigma=0.4), k, 1.0 / N,
+                   N).untempered_weights
+    lam = A.eigensystem()[0]
+    assert np.sum(_ratios(S, lam) > solver._STIFF_RATIO) == n_mild
+    assert len(solver._reciprocal_basis(S, lam)[0]) == n_mild + solver._STIFF_TERMS * (
+        n_mild < A.dim)
+    corrections = [float(a) for a in solver.correction_weights(k)]
+    rho = np.random.default_rng(trials).standard_normal((trials, A.dim))
+    ref = reference_rhs(A, S, rho, corrections)
+    rhs = _factored_rhs(A, S, rho, corrections)
+    assert rhs.shape == ref.shape == (N + 1, trials, A.dim)
+    # at most 7.8e-16 of max|rhs| seen over these eight cases
+    assert np.max(np.abs(rhs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("trials", (1, 10))
+def test_factored_scalar_march_is_bitwise_per_mode(trials):
+    A, N, k = ScalarOperator(1.0), 300, 3
+    S = discretize(FractionalOperatorSpec(SingleTerm(0.6), sigma=0.2), k, 1.0 / N,
+                   N).untempered_weights
+    assert len(solver._reciprocal_basis(S, A.eigensystem()[0])[0]) == 1
+    corrections = [float(a) for a in solver.correction_weights(k)]
+    rho = np.random.default_rng(trials).standard_normal((trials, 1))
+    assert np.array_equal(_factored_rhs(A, S, rho, corrections),
+                          reference_rhs(A, S, rho, corrections))
+
+
+def test_march_maps_only_the_basis_rows_back(monkeypatch):
+    # a dim-512 march maps K * trials modal rows back, not (N+1) * trials
+    A, N, k, trials = TridiagonalLaplacian(512), 1024, 4, 3
+    lam, to_modal, from_modal = A.eigensystem()
+    rows = []
+
+    def counting(x):
+        rows.append(x.size // x.shape[-1])
+        return from_modal(x)
+
+    monkeypatch.setattr(A, "eigensystem", lambda: (lam, to_modal, counting))
+    problem = SubdiffusionProblem(A=A, rho=np.sin(math.pi * A.grid()), T=1.0,
+                                  time_op=FractionalOperatorSpec(SingleTerm(0.5)))
+    S = discretize(problem.time_op, k, 1.0 / N, N).untempered_weights
+    K = len(solver._reciprocal_basis(S, lam)[0])
+    assert K < 64
+    step_solve(problem, k, N)
+    stability_experiment(problem, k, N, perturbations=trials)
+    assert rows == [K, K * trials]
 
 
 def test_large_sigma_problems_cover_both_routes():

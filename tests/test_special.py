@@ -157,3 +157,23 @@ def test_orders_below_the_floor_are_refused(alpha):
         mittag_leffler(alpha, -1.0)
     with pytest.raises(ParameterDomainError, match="alpha >= 0.005"):
         exact_scalar_solution(1.0, alpha, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+def test_series_band_against_50_digit_reference(alpha):
+    # The float64 series used to sum peaks up to 10^3 and lost up to
+    # 2.9e-11 relative there (E_0.8(-5) was off by 1.4e-11).
+    from mpmath import mp
+
+    for z in (-0.5, -1.0, -1.5, -2.0, -3.0, -4.0, -5.0):
+        with mp.workdps(50):
+            ref = special.mittag_leffler_mp(alpha, z)
+        assert abs(mittag_leffler(alpha, z) - ref) <= 1e-13 * ref
+
+
+def test_unit_argument_stays_on_the_float_series():
+    # E_alpha(-1) peaks below 10^0.06 for every order, so the convergence
+    # references at lam * T^alpha = 1 keep the float64 sum
+    for alpha in (0.005, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        assert _series_profile(alpha, -1.0)[1] <= 0.06
+        assert mittag_leffler(alpha, -1.0) == _series(alpha, -1.0, extended=False)
