@@ -171,6 +171,9 @@ def _march_fixed(l: list, k: int, alpha: float, lam: float, T: float, N: int,
         solve_block(mid, hi)
 
     solve_block(1, N + 1)
+    # the closure refers to itself; clearing its cell frees v, H and memo on
+    # return instead of at the next cyclic garbage collection
+    del solve_block
     return v[N] + (1 << P)
 
 

@@ -41,14 +41,13 @@ energy inequality and the q quadratic form.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import bdf_polynomial, check_alpha, check_order, check_sigma_tau
+from .coefficients import _residual_coefficients, check_alpha, check_order, check_sigma_tau
 from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
 from .multipliers import QTable, multiplier_set
 
@@ -349,12 +348,6 @@ def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
 # ---------------------------------------------------------------------------
 # A-stability side: factored argument of q on the unit circle
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def _residual_coefficients(k: int) -> tuple[float, ...]:
-    """r_m = p_0 + ... + p_m, m < k: (1 - z) sum_m r_m z^m is the BDF-k polynomial."""
-    return tuple(float(c) for c in itertools.accumulate(bdf_polynomial(k)[:k]))
-
 
 def _residual_values(k: int, z: np.ndarray) -> np.ndarray:
     """R_k(z), by Horner's rule on :func:`_residual_coefficients`."""

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 from fractions import Fraction
@@ -189,10 +190,24 @@ def test_harness_weights_per_path_match_fresh_solves(k, sigma, corrected):
 
 def test_convergence_orders_are_pinned():
     # the 66 observed orders of the verify-paper check, stored from the
-    # step-by-step twin history and per-grid weight builds
+    # factored weight kernel; the float64 k = 4 corrected errors at N = 512
+    # sit near 1.7e-12, so the last digits of those orders are roundoff
     with open(Path(__file__).parent / "data" / "convergence_orders.json") as fh:
         stored = json.load(fh)
     assert verification.check_convergence_orders().details["orders"] == stored
+
+
+def test_twin_march_leaves_no_cyclic_garbage():
+    # each twin march frees its histories and packed weights on return, not
+    # at the next cyclic collection
+    convergence_harness(5, 0.5, 0.0, 1.0, (16, 32, 64), precision=30)
+    gc.collect()
+    gc.disable()
+    try:
+        convergence_harness(5, 0.5, 1.0, 1.0, (16, 32, 64), precision=30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_k1_has_no_correction_to_toggle():
