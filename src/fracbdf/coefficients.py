@@ -117,6 +117,20 @@ def _residual_coefficients(k: int) -> tuple[float, ...]:
     return tuple(float(sum(p[:m + 1])) for m in range(k))
 
 
+#: Most (k, alpha) pairs whose h :func:`_residual_power` keeps, 2 KiB each;
+#: a ``verify-paper`` run uses 42.
+_H_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_H_CACHE_SIZE)
+def _residual_power(k: int, alpha: float) -> np.ndarray:
+    """h = R_k(z)^alpha to :data:`_H_TERMS` terms, read-only.  It does not
+    depend on J, so every weight build at one (k, alpha) shares it."""
+    h = _power_series(_residual_coefficients(k), alpha, _H_TERMS)
+    h.setflags(write=False)
+    return h
+
+
 def _power_series(c: tuple[float, ...], alpha: float, n: int) -> np.ndarray:
     """First n coefficients of (sum_m c_m z^m)^alpha by the power-of-a-series
     (J.C.P. Miller) recurrence
@@ -142,7 +156,8 @@ def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
     l is the product of the binomial series b of (1 - z)^alpha, one cumprod
     of (j - 1 - alpha)/j, and h = R_k^alpha, the power recurrence
     (:func:`_power_series`) on the k coefficients of R_k cut at
-    :data:`_H_TERMS` terms; one ``np.convolve`` forms the product.  Work is
+    :data:`_H_TERMS` terms and kept per (k, alpha) by
+    :func:`_residual_power`; one ``np.convolve`` forms the product.  Work is
     O(J * _H_TERMS).
 
     b is built to at least the length of h, so every output entry is the
@@ -155,8 +170,7 @@ def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
         raise ParameterDomainError(f"J must be >= 0, got {J!r}")
     j = np.arange(1, max(J + 1, _H_TERMS), dtype=float)
     b = np.cumprod(np.concatenate(([1.0], (j - 1.0 - alpha) / j)))
-    h = _power_series(_residual_coefficients(k), alpha, _H_TERMS)
-    return np.convolve(b, h)[:J + 1]
+    return np.convolve(b, _residual_power(k, alpha))[:J + 1]
 
 
 def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:

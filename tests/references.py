@@ -1,6 +1,7 @@
 """Plain reference implementations that only the tests use: the dense band
-matrix, the multiplier polynomial mu(zeta) and its roots, and q evaluated on
-the unit circle from its factored form."""
+matrix, the multiplier polynomial mu(zeta) and its roots, q evaluated on
+the unit circle from its factored form, and the Mittag-Leffler integral by
+``scipy.integrate.quad``."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from fracbdf import multiplier_set, positivity_generating_function
+from fracbdf.errors import InternalConsistencyError
 from fracbdf.stability import _RECIPROCAL_FACTORS, _factored_angles, _residual_values
 
 
@@ -47,3 +49,29 @@ def q_boundary_values(k, alpha, x, sigma=0.0, tau=1.0):
     for c, mult in _RECIPROCAL_FACTORS[k]:
         mag = mag / np.abs(1.0 - float(c) * z) ** mult
     return mag * np.exp(1j * arg)
+
+
+def integral_quad(alpha: float, z: float) -> float:
+    """E_alpha(z) by the scaled integral of ``fracbdf.special``, integrated
+    over [0, inf) by ``scipy.integrate.quad``: the path the package's own
+    Gauss-Kronrod rule replaced."""
+    from scipy.integrate import quad
+
+    x = -z
+    c = math.cos(alpha * math.pi)
+    inv_alpha = 1.0 / alpha
+
+    def integrand(v: float) -> float:
+        try:
+            e = math.exp(-v ** inv_alpha)
+        except OverflowError:           # v^(1/alpha) beyond float range: exp(-inf)
+            return 0.0
+        u = v / x
+        return e / (u * (u + 2.0 * c) + 1.0)
+
+    val, err = quad(integrand, 0.0, math.inf, limit=200, epsabs=1e-13, epsrel=1e-12)
+    if err > 1e-9:
+        raise InternalConsistencyError(
+            f"Mittag-Leffler quadrature error estimate {err:.2e} too large "
+            f"(alpha={alpha}, z={z})")
+    return math.sin(alpha * math.pi) / (alpha * math.pi) * val / x

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (FracParams, ParameterDomainError, bdf_g_coefficients,
                      bdf_l_coefficients, bdf_polynomial, series_oracle)
-from fracbdf.coefficients import _H_TERMS, _power_series, _residual_coefficients
+from fracbdf.coefficients import (_H_TERMS, _power_series, _residual_coefficients,
+                                  _residual_power)
 from fracbdf.highprec import fixed_bits, scalar_weights_mp
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -280,3 +281,17 @@ def test_weights_are_bitwise_prefixes(k, alpha):
     for M in sorted({0, 1, k - 1, k, _H_TERMS - 2, _H_TERMS - 1, _H_TERMS,
                      _H_TERMS + 1, 513, 1023, 1024}):
         assert full[:M + 1].tobytes() == bdf_l_coefficients(k, alpha, M).tobytes()
+
+
+@pytest.mark.parametrize("k", (1, 3, 6))
+def test_cached_residual_power_is_bitwise_and_read_only(k):
+    _residual_power.cache_clear()
+    cold = bdf_l_coefficients(k, 0.37, 600)
+    assert _residual_power.cache_info().misses == 1
+    warm = bdf_l_coefficients(k, 0.37, 600)
+    assert _residual_power.cache_info().hits == 1
+    assert cold.tobytes() == warm.tobytes()
+    h = _residual_power(k, 0.37)
+    assert h.tobytes() == _power_series(_residual_coefficients(k), 0.37, _H_TERMS).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        h[0] = 0.0
