@@ -55,6 +55,12 @@ eigenvalue (relative residuals near 1e-10 at dim 2048).  The per-step
 residuals are then evaluated for all steps at once, in the untempered
 frame, from a physical-space FFT convolution of S^ with w^; they never
 touch the eigensystem, so they check the modal solve independently.
+
+The right-hand sides and w^ live in C-ordered (dim, trials, N+1) arrays,
+whose rows are contiguous in time: the matrix product forms them as
+G^T (d^ B), each row operation of the block solve runs over whole rows,
+and the residual transforms run along the rows.  Callers see the
+transposed (N+1, trials, dim) views.
 Scaling row n by e^(sigma*n*tau) leaves its relative residual unchanged,
 so these are the residuals of the tempered system too.  The basis does
 not depend on rho, so the same kernel marches a (trials x dim) block of
@@ -66,16 +72,25 @@ above it raises :class:`~fracbdf.errors.InternalConsistencyError`, naming
 the step and the trial.
 
 Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
-Laplacian on a uniform interior grid (orthonormal DST-I basis; LDL^T
-solves with LAPACK ``dpttrf``/``dpttrs``, all right-hand sides in one
-call), or a general dense SPD matrix (``eigh`` basis; Cholesky solves).
-All of them expose the energy norm |A^(1/2) v|, which the stability
-experiments use, and ``shifted_solver`` for one step's system
-(S_0 I + A) x = b.
+Laplacian on a uniform interior grid (orthonormal DST-I basis, by a real
+FFT of the odd extension), or a general dense SPD matrix (``eigh`` basis;
+LU solves by ``numpy.linalg.solve``).  The Laplacian's shifted systems are
+solved by LDL^T, with its rows cut into pieces of at least 64 that run in
+lockstep and are joined by one small interface system (the partition
+method, :meth:`TridiagonalLaplacian.shifted_solver`).  That solve stays
+backward stable: every piece is a principal submatrix of the SPD shifted
+operator, so its LDL^T needs no pivoting, and the shifted Laplacian is
+diagonally dominant, the case in which the partition method is stable
+(Polizzi and Sameh, Parallel Computing 32, 2006); its normwise backward
+error is within 2x that of LAPACK ``dpttrs`` (tests/test_spatial_numpy.py).
+The march runs on numpy alone and loads no scipy module.  All operators
+expose the energy norm |A^(1/2) v|, which the stability experiments use,
+and ``shifted_solver`` for one step's system (S_0 I + A) x = b.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,10 +130,30 @@ def _identity(x):
     return x
 
 
-def _dst_ortho(x):
-    from scipy.fft import dst
+@functools.lru_cache(maxsize=None)
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, which numpy's FFT factors into
+    radix-2, -3 and -5 passes (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    return dst(x, type=1, norm="ortho", axis=-1)
+
+def _dst_ortho(x):
+    """Orthonormal DST-I along the last axis: the odd extension
+    (0, x, 0, -reversed x) of a real x of length n has the purely imaginary
+    DFT -i sqrt(2(n+1)) DST-I(x)."""
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    return -np.fft.rfft(ext, norm="ortho").imag[..., 1:n + 1]
 
 
 class ScalarOperator:
@@ -135,6 +170,10 @@ class ScalarOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.value * np.asarray(v, dtype=float)
+
+    def _matvec_rows(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of A v."""
+        return self.value * v[lo:hi]
 
     def shifted_solver(self, shift: float):
         denom = shift + self.value
@@ -180,26 +219,81 @@ class TridiagonalLaplacian:
         return (4.0 / self.h ** 2) * np.sin(i * math.pi * self.h / (2.0 * self.length)) ** 2
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = self._main * v
-        out[1:] += self._off * v[:-1]
-        out[:-1] += self._off * v[1:]
+        return self._matvec_rows(np.asarray(v, dtype=float), 0, self.size)
+
+    def _matvec_rows(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of A v."""
+        out = self._main * v[lo:hi]
+        out[max(0, 1 - lo):] += self._off * v[max(0, lo - 1):hi - 1]
+        out[:min(hi, self.size - 1) - lo] += self._off * v[lo + 1:hi + 1]
         return out
 
     def shifted_solver(self, shift: float):
-        # LDL^T of (main + shift, off), factored once; one dpttrs call solves
-        # every column of rhs.  Size 1 has no off-diagonal, which the LAPACK
-        # wrappers reject, and is a division.
-        from scipy.linalg.lapack import dpttrf, dpttrs
+        """Solve (A + shift I) x = b for b of shape (size,) or (size, cols).
 
-        main = self._main + shift
-        if self.size == 1:
-            return lambda rhs: np.asarray(rhs, dtype=float) / main
-        d, e, info = dpttrf(np.full(self.size, main), np.full(self.size - 1, self._off))
-        if info != 0:
+        The rows are cut into P = min(size // 64, 32) pieces (at least one)
+        of m = ceil(size / P) rows; padding rows that continue the stencil
+        fill the last piece.  Every piece is then the same matrix, with one
+        LDL^T (dpttrf's recurrence, in Python floats), and the pieces are
+        solved in lockstep: each row operation covers every piece and every
+        column.  With one piece this is dpttrs.  Otherwise the couplings
+        across the cuts between pieces, and the one that the padding adds,
+        are moved to the right-hand side, as in the partition (SPIKE) method
+        of Polizzi and Sameh (Parallel Computing 32, 2006).  The values at
+        the 2C rows next to the C cuts solve a 2C x 2C interface system,
+        whose coefficients are entries of the piece's inverse; with them
+        known, one lockstep solve gives x (and zero padding rows).
+        """
+        n, main, off = self.size, self._main + shift, self._off
+        if not shift + self.eigenvalues()[0] > 0.0:
             raise np.linalg.LinAlgError(f"shifted operator is not positive definite "
                                         f"(shift {shift!r})")
-        return lambda rhs: dpttrs(d, e, np.asarray(rhs, dtype=float))[0]
+        P = min(max(1, n // 64), 32)
+        m = -(-n // P)
+        d, l = [main], []
+        for _ in range(m - 1):
+            l.append(off / d[-1])
+            d.append(main - l[-1] * off)
+
+        def pieces(X):                          # X (m, P, cols), in place
+            tmp = np.empty_like(X[0])
+            for i in range(1, m):
+                np.subtract(X[i], np.multiply(X[i - 1], l[i - 1], out=tmp), out=X[i])
+            X[-1] /= d[-1]
+            for i in range(m - 2, -1, -1):
+                X[i] /= d[i]
+                np.subtract(X[i], np.multiply(X[i + 1], l[i], out=tmp), out=X[i])
+            return X
+
+        # cut c couples rows c - 1 and c by o: the true coupling between
+        # pieces, and minus it where the padding starts
+        cuts = [(c, off) for c in range(m, P * m, m)] + [(n, -off)] * (n < P * m)
+        if cuts:
+            c, o = np.array(cuts).T
+            at = np.stack((c - 1, c), axis=1).ravel().astype(int)      # rows next to the cuts
+            enter = np.stack((c, c - 1), axis=1).ravel().astype(int)   # where x_at enters
+            o = np.repeat(o, 2)[:, None]
+            G = np.linalg.inv(main * np.eye(m) + off * (np.eye(m, k=1) + np.eye(m, k=-1)))
+            # x_at = (G b)_at - sum_j G[at, enter_j] o_j x_at[j], G block diagonal
+            Z = np.eye(len(at)) + np.where(at[:, None] // m == enter // m,
+                                           G[np.ix_(at % m, enter % m)] * o.T, 0.0)
+            locs = sorted(set(at % m))
+            G = G[locs]
+            rows = (at // m, [locs.index(q) for q in at % m])
+
+        def solve(rhs):
+            rhs = np.asarray(rhs, dtype=float)
+            b = rhs.reshape(n, -1)
+            X = np.zeros((m, P, b.shape[1]))
+            Xp = X.transpose(1, 0, 2)           # (piece, row, column) view
+            Xp[:-1] = b[:(P - 1) * m].reshape(P - 1, m, b.shape[1])
+            Xp[-1, :n - (P - 1) * m] = b[(P - 1) * m:]
+            if cuts:
+                x_at = np.linalg.solve(Z, (G @ Xp)[rows])
+                X[enter % m, enter // m] -= o * x_at
+            pieces(X)
+            return Xp.reshape(P * m, -1)[:n].reshape(rhs.shape)
+        return solve
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the orthonormal DST-I basis, which
@@ -214,7 +308,7 @@ class DenseSPDOperator:
     """A general symmetric positive definite matrix.
 
     Its eigensystem is computed once (it also serves as the definiteness
-    check); shifted systems are solved by Cholesky.
+    check); shifted systems are solved by LU (``numpy.linalg.solve``).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -238,11 +332,13 @@ class DenseSPDOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=float)
 
-    def shifted_solver(self, shift: float):
-        from scipy.linalg import cho_factor, cho_solve
+    def _matvec_rows(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of A v."""
+        return self.matrix[lo:hi] @ v
 
-        fac = cho_factor(self.matrix + shift * np.eye(self.dim))
-        return lambda rhs: cho_solve(fac, np.asarray(rhs, dtype=float))
+    def shifted_solver(self, shift: float):
+        shifted = self.matrix + shift * np.eye(self.dim)
+        return lambda rhs: np.linalg.solve(shifted, np.asarray(rhs, dtype=float))
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the ``eigh`` basis; the transforms
@@ -321,9 +417,10 @@ class SolveResult:
 _BLOCK = 2 ** 15
 
 #: Largest accepted relative residual of any step's system.  The march is
-#: backward stable: the largest residuals seen are ~1e-11 at dim 2048 and
-#: ~4e-14 in the verify-paper battery, so a step above this bound means the
-#: march itself went wrong; it raises InternalConsistencyError.
+#: backward stable: the largest residuals seen are 7.8e-12 at dim 2048 (the
+#: benchmark's march cases, seeds 0-4) and 6.8e-14 in the verify-paper
+#: battery, so a step above this bound means the march itself went wrong;
+#: it raises InternalConsistencyError.
 RESIDUAL_BOUND = 1e-8
 
 
@@ -374,9 +471,10 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     """The untempered march of the data rows rho (trials x dim) with weights
     S = S^ and datum d^(z) = z/(1 - z) + sum_n a_n z^n, a_n = corrections[n-1].
 
-    Returns w^ of shape (N+1, trials, dim) and its relative residuals, shape
-    (N+1, trials).  The reciprocal basis (:func:`_reciprocal_basis` of S^
-    and lam) depends on neither the data nor the corrections: a caller
+    Returns w^ of shape (N+1, trials, dim), the transposed view of a
+    time-contiguous array (module docstring), and its relative residuals,
+    shape (N+1, trials).  The reciprocal basis (:func:`_reciprocal_basis` of
+    S^ and lam) depends on neither the data nor the corrections: a caller
     marching several data with the same S^ and operator may pass it as
     ``basis``.  Weights with S^_0 <= 0 or a non-finite entry (a scale
     b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError, and so
@@ -398,28 +496,30 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
         raise ParameterDomainError(
             f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
             f"largest eigenvalue {float(lam.max())!r}")
-    rhs = _march_rhs(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis)
-    M, trials, dim = rhs.shape
-    w = A.shifted_solver(S[0])(rhs.reshape(M * trials, dim).T).T.reshape(M, trials, dim)
-    del rhs                    # at most two (N+1) x trials x dim arrays live at once
+    rhs = _march_rhs(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis).T
+    dim, trials, M = rhs.shape
+    w = A.shifted_solver(S[0])(rhs.reshape(dim, -1)).reshape(dim, trials, M)
+    del rhs                    # the residual pass needs only w
     residuals = _residuals(A, S, w, d, Arho)
     n, b = np.unravel_index(np.argmax(residuals), residuals.shape)
     if not residuals[n, b] <= RESIDUAL_BOUND:
         raise InternalConsistencyError(
             f"relative residual {residuals[n, b]:.3e} at step {n} of trial {b} "
             f"exceeds {RESIDUAL_BOUND:g}")
-    return w, residuals
+    return w.T, residuals
 
 
 def _march_rhs(S: np.ndarray, lam: np.ndarray, coef: np.ndarray, from_modal,
                corrections: list[float], basis: tuple | None = None) -> np.ndarray:
     """Physical right-hand sides, shape (N+1, trials, dim): row [n, b] is
     from_modal of the modal vector coef[b, i] [d/(S + lam_i)]_n, for a
-    (trials, dim) block coef and d(z) = z/(1 - z) + sum_n a_n z^n.
+    (trials, dim) block coef and d(z) = z/(1 - z) + sum_n a_n z^n.  The
+    result is the transposed view of a C-ordered (dim, trials, N+1) array,
+    whose rows are contiguous in time.
 
     With (B, C) = :func:`_reciprocal_basis`, d/(S + lam_i) = sum_r C[r, i] d B_r:
     only the K rows G_r = from_modal(C[r] coef) are mapped back, and one
-    matrix product sum_r (d B_r)_n G_r forms every step.  d B is a cumsum
+    matrix product sum_r G_r (d B_r)_n forms every step.  d B is a cumsum
     shifted by one step plus one shifted add per correction a_n =
     corrections[n-1].  B, C and G are freed on return, before the block solve.
     """
@@ -431,7 +531,8 @@ def _march_rhs(S: np.ndarray, lam: np.ndarray, coef: np.ndarray, from_modal,
     np.cumsum(B[:, :-1], axis=1, out=dB[:, 1:])
     for n, a in enumerate(corrections, start=1):
         dB[:, n:] += a * B[:, :M - n]
-    return (dB.T @ G.reshape(K, -1)).reshape(M, *coef.shape)
+    G = G.transpose(0, 2, 1).reshape(K, -1)          # rows (component, trial)
+    return (G.T @ dB).reshape(coef.shape[::-1] + (M,)).T
 
 
 #: Shifts with x = S_0 ||s||_1 / (S_0 + shift) <= _STIFF_RATIO take the
@@ -453,8 +554,6 @@ def _reciprocal_basis(S: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np
     other (mild) shift has a row of B by Newton doubling
     (:func:`_newton_reciprocals`) and a unit column of C.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     M, S0 = len(S), float(S[0])
     s = S / S0
     s[0] = 0.0
@@ -467,10 +566,10 @@ def _reciprocal_basis(S: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np
     if terms:
         B[0, 0] = 1.0
         B[1] = s
-        nfft = next_fast_len(2 * M - 1, real=True)
-        s_hat = rfft(s, nfft)
+        nfft = _next_fast_len(2 * M - 1)
+        s_hat = np.fft.rfft(s, nfft)
         for t in range(2, terms):          # s^t has t leading zeros, set exactly
-            B[t] = irfft(rfft(B[t - 1], nfft) * s_hat, nfft)[:M]
+            B[t] = np.fft.irfft(np.fft.rfft(B[t - 1], nfft) * s_hat, nfft)[:M]
             B[t, :t] = 0.0
         C[0] = stiff / (S0 + shifts)         # zero in the mild columns
         C[1:terms] = -beta
@@ -492,23 +591,21 @@ def _newton_reciprocals(S: np.ndarray, shifts: np.ndarray, R: np.ndarray) -> Non
     many shifts per call as fit in ``_BLOCK``, so the short early rounds
     take many rows per FFT call.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
+    rfft, irfft = np.fft.rfft, np.fft.irfft
     M = len(S)
     R[:, 0] = 1.0 / (S[0] + shifts)
     m = 1
     while m < M:
         m2 = min(2 * m, M)
-        nfft = next_fast_len(m2, real=True)
+        nfft = _next_fast_len(m2)
         S_hat = rfft(S[:m2], nfft)
         rows = max(1, _BLOCK // nfft)
         for b in range(0, len(shifts), rows):
             # Adding the shift to every bin adds it to the z^0 coefficient.
             P_hat = S_hat + shifts[b:b + rows, None]
-            R_hat = rfft(R[b:b + rows, :m], nfft, axis=1)
-            E = irfft(P_hat * R_hat, nfft, axis=1)[:, m:m2]
-            R[b:b + rows, m:m2] = -irfft(R_hat * rfft(E, nfft, axis=1), nfft,
-                                         axis=1)[:, :m2 - m]
+            R_hat = rfft(R[b:b + rows, :m], nfft)
+            E = irfft(P_hat * R_hat, nfft)[:, m:m2]
+            R[b:b + rows, m:m2] = -irfft(R_hat * rfft(E, nfft), nfft)[:, :m2 - m]
         m = m2
 
 
@@ -516,47 +613,40 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
                Arho: np.ndarray) -> np.ndarray:
     """|(S_0 I + A) w^n_b - rhs^n_b| / |rhs^n_b| for every step n and datum b,
     with rhs^n_b = -d_n A rho_b - sum_{j>=1} S_j w^(n-j)_b (0 at n = 0);
-    w has shape (N+1, trials, dim) and the result (N+1, trials).
+    w has shape (dim, trials, N+1), rows contiguous in time, and the result
+    (N+1, trials).
 
-    The histories come from FFT convolutions of S with w along time, over
-    the (trial, component) columns of a group of trials in column blocks;
-    the rest is evaluated in row blocks of the group.  A group's history
-    buffer holds at most max((N+1) x dim, _BLOCK) elements, so no second
-    full-size array is live beside w.
+    Everything runs in blocks of components, whose rows are contiguous: the
+    histories are FFT convolutions of S with the rows, the operator supplies
+    its rows of A w, and the squared norms of residual and right-hand side
+    are summed over the blocks.  No work array holds more than about
+    max(trials x 2(N+1), _BLOCK) elements.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    M, trials, dim = w.shape
-    nfft = next_fast_len(2 * M - 1, real=True)
-    S_hat = rfft(S, nfft)[:, None]
-    cols = max(1, _BLOCK // nfft)
-    group = max(1, min(trials, _BLOCK // (M * dim)))
-    out = np.zeros((M, trials))
-    for t in range(0, trials, group):
-        wg = w[:, t:t + group]
-        g = wg.shape[1]
-        flat = wg.reshape(M, g * dim)
-        hist = np.empty((M, g * dim))
-        for c in range(0, g * dim, cols):
-            blk = flat[:, c:c + cols]
-            conv = irfft(rfft(blk, nfft, axis=0) * S_hat, nfft, axis=0)
-            np.subtract(conv[:M], S[0] * blk, out=hist[:, c:c + cols])
-        hist = hist.reshape(M, g, dim)
-        rows = max(1, _BLOCK // (g * dim))
-        for r in range(1, M, rows):
-            wb = wg[r:r + rows]
-            rhs = -d[r:r + rows, None, None] * Arho[t:t + g]
-            rhs -= hist[r:r + rows]
-            res = S[0] * wb
-            res += A.matvec(wb.reshape(-1, dim).T).T.reshape(wb.shape)
-            res -= rhs
-            with np.errstate(over="ignore"):     # squares of entries beyond ~1e154
-                num, den = np.linalg.norm(res, axis=2), np.linalg.norm(rhs, axis=2)
-            if not np.isfinite(den).all():
-                raise ParameterDomainError("data too large: a step's right-hand side "
-                                           "has no finite float64 norm")
-            out[r:r + rows, t:t + g] = num / np.maximum(den, 1e-300)
-    return out
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    dim, trials, M = w.shape
+    nfft = _next_fast_len(2 * M - 1)
+    S_hat = rfft(S, nfft)
+    flat = w.reshape(dim, -1)
+    Arho = Arho.T[:, :, None]
+    num, den = np.zeros((trials, M)), np.zeros((trials, M))
+    comps = max(1, _BLOCK // (trials * nfft))
+    for c in range(0, dim, comps):
+        blk = w[c:c + comps]
+        rhs = S[0] * blk
+        rhs -= irfft(rfft(blk, nfft) * S_hat, nfft)[..., :M]      # minus the history
+        rhs -= d * Arho[c:c + comps]
+        res = S[0] * blk
+        res += A._matvec_rows(flat, c, c + len(blk)).reshape(blk.shape)
+        res -= rhs
+        with np.errstate(over="ignore"):     # squares of entries beyond ~1e154
+            num += np.einsum("ibn,ibn->bn", res, res)
+            den += np.einsum("ibn,ibn->bn", rhs, rhs)
+    if not np.isfinite(den).all():
+        raise ParameterDomainError("data too large: a step's right-hand side "
+                                   "has no finite float64 norm")
+    out = np.sqrt(num) / np.maximum(np.sqrt(den), 1e-300)
+    out[:, 0] = 0.0
+    return out.T
 
 
 @parses_config

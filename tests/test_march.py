@@ -263,3 +263,25 @@ def test_march_imports_no_optional_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.splitlines() == ["[]"] * 4
+
+
+def test_march_loads_no_scipy_module():
+    """The march is numpy alone: after solves on every operator class, the
+    scalar, tridiagonal (one piece at dim 8, several at dim 300) and dense,
+    and one perturbation experiment, no scipy module is loaded."""
+    code = ("import sys, numpy as np\n"
+            "import fracbdf as f\n"
+            "spec = f.FractionalOperatorSpec(f.SingleTerm(0.5), sigma=0.3)\n"
+            "M = np.diag(np.full(5, 3.0)) + np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)\n"
+            "for A in (f.ScalarOperator(2.0), f.TridiagonalLaplacian(8),\n"
+            "          f.TridiagonalLaplacian(300), f.DenseSPDOperator(M)):\n"
+            "    f.step_solve(f.SubdiffusionProblem(A, np.ones(A.dim), 1.0, spec), 3, 16)\n"
+            "f.stability_experiment(f.SubdiffusionProblem(f.TridiagonalLaplacian(64),\n"
+            "                       np.ones(64), 1.0, spec), 3, 32, perturbations=4)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(fracbdf.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == ["[]"]

@@ -1,0 +1,89 @@
+"""The numpy spatial kernels of the march against the scipy routines they
+replace: the partitioned tridiagonal solve against LAPACK ``dpttrs``, the
+DST-I against ``scipy.fft.dst``, ``_next_fast_len`` against
+``scipy.fft.next_fast_len`` and the dense LU solve against Cholesky."""
+
+import numpy as np
+import pytest
+from scipy.fft import dst, next_fast_len
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpttrf, dpttrs
+
+from fracbdf import DenseSPDOperator, TridiagonalLaplacian
+from fracbdf.solver import _dst_ortho, _next_fast_len
+
+
+def _backward_errors(x, b, matvec, norm_A):
+    """Normwise backward error |b - M x| / (|M| |x| + |b|) of each column,
+    in blocks of columns to keep the work arrays small."""
+    out = []
+    for c in range(0, x.shape[1], 512):
+        xc, bc = x[:, c:c + 512], b[:, c:c + 512]
+        out.append(np.linalg.norm(matvec(xc) - bc, axis=0)
+                   / (norm_A * np.linalg.norm(xc, axis=0) + np.linalg.norm(bc, axis=0)))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("cols", (1, 5, 4097))
+@pytest.mark.parametrize("shift", (0.0, 1.0, 1e6))
+@pytest.mark.parametrize("size", (1, 2, 3, 63, 64, 127, 128, 509, 512, 2039, 2048))
+def test_tridiagonal_solve_matches_dpttrs(size, shift, cols):
+    A = TridiagonalLaplacian(size)
+    main, off = 2.0 / A.h ** 2 + shift, -1.0 / A.h ** 2
+    b = np.random.default_rng(size + cols).standard_normal((size, cols))
+    x = A.shifted_solver(shift)(b)
+    if size == 1:                     # no off-diagonal: the LAPACK wrappers refuse it
+        ref = b / main
+    else:
+        d, e, info = dpttrf(np.full(size, main), np.full(size - 1, off))
+        assert info == 0
+        ref = dpttrs(d, e, b)[0]
+    assert x.shape == b.shape
+    if size < 128:                    # one piece: dpttrf/dpttrs's own arithmetic
+        assert np.array_equal(x, ref)
+    else:
+        def matvec(v):
+            return shift * v + A.matvec(v)
+
+        norm_A = 4.0 / A.h ** 2 + shift
+        ours = _backward_errors(x, b, matvec, norm_A).max()
+        lapack = _backward_errors(ref, b, matvec, norm_A).max()
+        assert ours <= 1e-13 and ours <= 2.0 * lapack
+
+
+def test_tridiagonal_solve_refuses_an_indefinite_shift():
+    A = TridiagonalLaplacian(300)
+    A.shifted_solver(-0.99 * A.eigenvalues()[0])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        A.shifted_solver(-1.01 * A.eigenvalues()[0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 9, 64, 511, 512, 2039, 2048))
+def test_dst_matches_scipy_and_inverts_itself(n):
+    x = np.random.default_rng(n).standard_normal((3, n))
+    y = _dst_ortho(x)
+    ref = dst(x, type=1, norm="ortho", axis=-1)
+    assert np.all(np.linalg.norm(y - ref, axis=1) <= 1e-15 * np.linalg.norm(ref, axis=1))
+    assert np.all(np.linalg.norm(_dst_ortho(y) - x, axis=1)
+                  <= 1e-15 * np.linalg.norm(x, axis=1))
+    assert np.array_equal(_dst_ortho(x[1]), y[1])          # one vector, any leading shape
+
+
+def test_next_fast_len_matches_scipy():
+    assert all(_next_fast_len(n) == next_fast_len(n, real=True) for n in range(1, 20001))
+
+
+@pytest.mark.parametrize("shift", (0.0, 1.0, 1e6))
+@pytest.mark.parametrize("dim", (1, 2, 17, 128))
+def test_dense_solve_matches_cholesky(dim, shift):
+    rng = np.random.default_rng(dim)
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    A = DenseSPDOperator((Q * np.geomspace(1.0, 1e5, dim)) @ Q.T)
+    b = rng.standard_normal((dim, 1025))
+    x = A.shifted_solver(shift)(b)
+    M = A.matrix + shift * np.eye(dim)
+    ref = cho_solve(cho_factor(M), b)
+    norm_M = np.linalg.norm(M, 2)
+    assert _backward_errors(x, b, lambda v: M @ v, norm_M).max() <= 1e-13
+    assert _backward_errors(ref, b, lambda v: M @ v, norm_M).max() <= 1e-13
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -33,6 +33,13 @@ def test_integral_near_unit_order_against_mp_quadrature(alpha, x):
     # As alpha -> 1 the denominator's minimum sin^2(alpha pi) sits at
     # v = x |cos(alpha pi)|; expanded as (v/x)^2 + 2 cos(alpha pi) v/x + 1 it
     # cancelled there, and quad raised or was off by up to 2.6e-6.
+    ref = _integral_mp40(alpha, x)
+    assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
+
+
+def _integral_mp40(alpha, x):
+    """E_alpha(-x) from the same integral by a 40-digit ``mp.quad`` with
+    edges around the near-pole."""
     from mpmath import mp, mpf
 
     with mp.workdps(40):
@@ -42,7 +49,15 @@ def test_integral_near_unit_order_against_mp_quadrature(alpha, x):
         edges = sorted({mpf(0), mpf(1)} | {pole * f for f in (0.9, 0.999, 1, 1.001, 1.1)})
         val = mp.quad(lambda v: mp.exp(-v ** (1 / a)) / ((v / X) ** 2 + 2 * c * v / X + 1),
                       edges + [mp.inf])
-        ref = float(mp.sinpi(a) / (a * mp.pi * X) * val)
+        return float(mp.sinpi(a) / (a * mp.pi * X) * val)
+
+
+@pytest.mark.parametrize("alpha, x", [(0.999998, 5.01), (0.999998, 6.0), (0.999998, 7.0),
+                                      (0.999999, 6.0)])
+def test_integral_of_thousands_meets_its_relative_tolerance(alpha, x):
+    # The integral is ~e^(-x) x / (1 - alpha), ~1e3-1e4 here.  Its error
+    # estimate met 1e-12 of it, yet an absolute cap of 1e-9 refused it.
+    ref = _integral_mp40(alpha, x)
     assert abs(mittag_leffler(alpha, -x) - ref) <= 1e-12 * ref
 
 
