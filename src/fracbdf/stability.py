@@ -35,7 +35,10 @@ The quadratic forms are certified exactly, not sampled: the minimum of
 sum_n <w^n, sum_j t_j w^(n-j)> over unit-norm sequences of length N is the
 smallest eigenvalue of the symmetric Toeplitz section (t_0, t_1/2, ...).
 One kernel, :func:`_section_extremes`, serves the eigenvalue sandwich, the
-energy inequality and the q quadratic form.
+energy inequality and the q quadratic form.  It splits the centrosymmetric
+section into two half-size symmetric blocks for numpy's ``eigvalsh``; only
+multiplier bands longer than ``_DENSE_MAX_N`` use ``scipy.linalg``, in band
+storage.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -156,8 +160,43 @@ def trig_min(f: TrigPolynomial) -> tuple[float, float]:
 
 
 def _check_length(N: int) -> None:
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
+    if isinstance(N, bool) or not isinstance(N, Integral) or N < 1:
+        raise ParameterDomainError(f"N must be an integer >= 1, got {N!r}")
+
+
+#: Largest N at which a multiplier band is solved through the dense halves
+#: of :func:`_centro_halves` (numpy alone) rather than in band storage.  At
+#: N = 512 the two halves hold 1 MiB and take ~10 ms (~5 ms banded, one BLAS
+#: thread on a 2-core Xeon VM); above it their O(N^3) cost falls further
+#: behind the O(N^2) band reduction of ``eigvals_banded``, which keeps
+#: ``fracbdf toeplitz --k 6 --N 4000`` under a second and its failing
+#: witness (:func:`_band_witness`) under two.
+_DENSE_MAX_N = 512
+
+
+def _centro_halves(col: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric and skew halves of the symmetric Toeplitz section of
+    order N with first column ``col`` (zero beyond its length): the blocks
+    acting on its symmetric and skew-symmetric eigenvectors.
+
+    A symmetric Toeplitz matrix is centrosymmetric, so the orthogonal
+    Q = [[I, 0, I], [0, sqrt2, 0], [J, 0, -J]] / sqrt2 (no middle row for
+    even N; J the exchange) splits it into these two blocks (Cantoni and
+    Butler, Linear Algebra Appl. 13, 1976).  With m = N // 2 and i, j < m
+    they are c_|i-j| +- c_(N-1-i-j); for odd N the symmetric half has the
+    border sqrt2 * c_(m-i) and the corner c_0.
+    """
+    c = np.zeros(N)
+    c[:len(col)] = col
+    m = N // 2
+    i = np.arange(m)
+    near = c[np.abs(i[:, None] - i)]
+    far = c[N - 1 - i[:, None] - i]
+    sym, skew = near + far, near - far
+    if N % 2:
+        border = math.sqrt(2.0) * c[m - i]
+        sym = np.block([[sym, border[:, None]], [border, c[:1]]])
+    return sym, skew
 
 
 def _section_extremes(t, N: int, witness_below: float = -math.inf):
@@ -166,27 +205,41 @@ def _section_extremes(t, N: int, witness_below: float = -math.inf):
     column (t_0, t_1/2, ..., t_(N-1)/2); v is the unit lambda_min
     eigenvector if lambda_min < ``witness_below``, else None.
 
-    Bandwidth <= 3 (the multiplier bands) is solved in band storage with
-    no N x N matrix, the witness by inverse iteration
-    (:func:`_band_witness`); longer columns (q sections) densely.
+    Every q section, and every multiplier band (bandwidth <= 3) of order
+    N <= ``_DENSE_MAX_N``, is solved by numpy on the two centrosymmetric
+    halves of :func:`_centro_halves`: the extremes are those over both
+    halves, and the witness is the ``eigh`` vector of the half holding
+    lambda_min, lifted back by Q.  Longer bands stay in band storage with
+    ``scipy.linalg.eigvals_banded`` and no N x N matrix, the witness by
+    inverse iteration (:func:`_band_witness`).
     """
-    from scipy.linalg import eigh, eigvals_banded, eigvalsh, toeplitz
-
     t = np.asarray(t, dtype=float)[:N]
     col = np.concatenate((t[:1], t[1:] / 2.0))
     bw = len(col) - 1
-    if bw <= 3:
+    if bw <= 3 and N > _DENSE_MAX_N:
+        from scipy.linalg import eigvals_banded
+
         band = np.zeros((bw + 1, N))
         for j, c in enumerate(col):
             band[bw - j, j:] = c
         lo = eigvals_banded(band, select="i", select_range=(0, 0))[0]
         hi = eigvals_banded(band, select="i", select_range=(N - 1, N - 1))[0]
         vec = _band_witness(band, lo, max(abs(lo), abs(hi))) if lo < witness_below else None
-    else:
-        H = toeplitz(col)
-        ev = eigvalsh(H)             # both ends in one pass: cheaper than two subsets
-        lo, hi = ev[0], ev[-1]
-        vec = eigh(H, subset_by_index=(0, 0))[1][:, 0] if lo < witness_below else None
+        return float(lo), float(hi), vec
+    m = N // 2
+    sym, skew = _centro_halves(col, N)
+    ev_sym = np.linalg.eigvalsh(sym)
+    ev_skew = np.linalg.eigvalsh(skew) if m else ev_sym
+    lo, hi = min(ev_sym[0], ev_skew[0]), max(ev_sym[-1], ev_skew[-1])
+    vec = None
+    if lo < witness_below:
+        symmetric = ev_sym[0] <= ev_skew[0]
+        y = np.linalg.eigh(sym if symmetric else skew)[1][:, 0]
+        vec = np.zeros(N)
+        vec[:m] = y[:m] / math.sqrt(2.0)
+        vec[N - m:] = (1.0 if symmetric else -1.0) * vec[:m][::-1]
+        if symmetric and N % 2:
+            vec[m] = y[m]
     return float(lo), float(hi), vec
 
 
@@ -255,7 +308,8 @@ class ToeplitzEigenCheck:
 def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
                         tol: float = 1e-10) -> ToeplitzEigenCheck:
     """Verify f_min <= lambda_min <= lambda_max <= f_max for the
-    symmetrized band matrix of dimension N (banded, no N x N matrix).
+    symmetrized band matrix of dimension N: two dense half-size blocks for
+    N <= ``_DENSE_MAX_N``, band storage with no N x N matrix above it.
 
     A violation beyond ``tol`` raises InternalConsistencyError: the
     sandwich is a theorem for these matrices (for N <= k it follows by

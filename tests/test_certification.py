@@ -1,19 +1,24 @@
 """Exact certification of the sandwich, energy and quadratic-form bounds.
 
-The banded extreme-eigenvalue kernel is compared with dense eigvalsh of
-the plain reference matrix, the exact minima with the seeded Gaussian
+The extreme-eigenvalue kernel (centrosymmetric halves, band storage for
+long bands) is compared with dense eigvalsh of the plain reference matrix, the exact minima with the seeded Gaussian
 sampler they replace (kept here verbatim), and the witnesses with the
 Rayleigh quotients they must attain.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracbdf
 from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      argument_sweep, bdf_g_coefficients, multiplier_energy_check,
                      multiplier_set, positivity_generating_function, q_coefficients,
@@ -85,7 +90,9 @@ def _lower_toeplitz(qv):
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
 @pytest.mark.parametrize("st", (0.0, 0.5))
 def test_banded_extremes_match_dense_reference(k, st):
-    for N in sorted({1, 2, k, k + 1, 10, 50, 200, 400}):
+    # 401 and 511 exercise odd halves, 513 and 600 the band storage above
+    # _DENSE_MAX_N = 512
+    for N in sorted({1, 2, k, k + 1, 10, 50, 200, 400, 401, 511, 512, 513, 600}):
         L = toeplitz_band(k, st, 1.0, N)
         ev = np.linalg.eigvalsh((L + L.T) / 2.0)
         chk = toeplitz_eigencheck(k, st, 1.0, N)
@@ -95,7 +102,7 @@ def test_banded_extremes_match_dense_reference(k, st):
 
 @pytest.mark.parametrize("k", (3, 6))
 def test_dense_section_extremes_match_reference(k):
-    for N in (1, 2, 5, 100):
+    for N in (1, 2, 5, 100, 101):
         qv = _q_table(k, N).q
         Q = _lower_toeplitz(qv)
         ev = np.linalg.eigvalsh((Q + Q.T) / 2.0)
@@ -123,6 +130,23 @@ def test_large_banded_section_is_fast(capsys):
     assert payload["positive_definite"]
     assert elapsed < 1.0
 
+
+
+def test_verify_paper_loads_no_scipy_module():
+    """Every section the battery certifies (N <= 400) goes through numpy's
+    eigensolvers: a whole verify-paper run and a k = 6, N = 400 toeplitz
+    check load no scipy module."""
+    code = ("import contextlib, io, sys\n"
+            "from fracbdf.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = (main(['verify-paper']), main(['toeplitz', '--k', '6', '--N', '400']))\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(fracbdf.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    assert out.splitlines() == ["(0, 0) []"]
 
 # ---------------------------------------------------------------------------
 # exact minima against the sampled ones
@@ -163,32 +187,35 @@ def test_sampling_arguments_are_accepted_and_unused():
 # planted indefinite forms and their witnesses
 # ---------------------------------------------------------------------------
 
+# Even and odd N: the q witnesses come from the symmetric half (with its
+# middle entry at N = 61), the energy witnesses from the skew half.
+
 def test_planted_indefinite_quadratic_form_has_witness():
-    N = 60
-    good = _q_table(3, N)
-    qv = good.q.copy()
-    qv[0] = -qv[0]
-    bad = QTable(k=3, params=good.params, q=qv)
-    chk = quadrature_positivity_check(bad, N=N)
-    assert not chk.verdict
-    w = chk.witness
-    assert w.shape == (N,)
-    lam = chk.min_value / N
-    assert chk.min_scaled == pytest.approx(lam / np.abs(qv).sum(), rel=1e-14)
-    rayleigh = (_lower_toeplitz(qv) @ w) @ w / (w @ w)
-    assert abs(rayleigh - lam) <= 1e-12
+    for N in (60, 61):
+        good = _q_table(3, N)
+        qv = good.q.copy()
+        qv[0] = -qv[0]
+        bad = QTable(k=3, params=good.params, q=qv)
+        chk = quadrature_positivity_check(bad, N=N)
+        assert not chk.verdict
+        w = chk.witness
+        assert w.shape == (N,)
+        lam = chk.min_value / N
+        assert chk.min_scaled == pytest.approx(lam / np.abs(qv).sum(), rel=1e-14)
+        rayleigh = (_lower_toeplitz(qv) @ w) @ w / (w @ w)
+        assert abs(rayleigh - lam) <= 1e-12, N
 
 
 def test_planted_indefinite_energy_form_has_witness(monkeypatch):
     monkeypatch.setitem(stability.ENERGY_CONSTANTS, 6, Fraction(9, 10))
-    N = 40
-    chk = multiplier_energy_check(6, N=N)
-    assert not chk.verdict
-    w = chk.witness
-    assert w.shape == (N,)
-    L = toeplitz_band(6, 0.0, 1.0, N)
-    rayleigh = (L @ w) @ w / (w @ w)
-    assert abs(rayleigh - chk.min_slack / N) <= 1e-12
+    for N in (40, 41):
+        chk = multiplier_energy_check(6, N=N)
+        assert not chk.verdict
+        w = chk.witness
+        assert w.shape == (N,)
+        L = toeplitz_band(6, 0.0, 1.0, N)
+        rayleigh = (L @ w) @ w / (w @ w)
+        assert abs(rayleigh - chk.min_slack / N) <= 1e-12, N
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +240,8 @@ def test_stability_entry_points_reject_bad_sigma_tau(sigma, tau):
             call()
 
 
-@pytest.mark.parametrize("kwargs", ({"N": 0}, {"N": -3}))
+@pytest.mark.parametrize("kwargs", ({"N": 0}, {"N": -3}, {"N": 2.5}, {"N": True},
+                                    {"N": math.nan}))
 def test_certification_checks_reject_empty_sequences(kwargs):
     with pytest.raises(ParameterDomainError):
         multiplier_energy_check(3, **{"N": 10, **kwargs})
