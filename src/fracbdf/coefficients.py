@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_count
 
 VALID_ORDERS = (1, 2, 3, 4, 5, 6)
 
@@ -166,8 +166,7 @@ def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
     """
     check_order(k)
     check_alpha(alpha)
-    if J < 0:
-        raise ParameterDomainError(f"J must be >= 0, got {J!r}")
+    J = check_count(J, "J", 0)
     j = np.arange(1, max(J + 1, _H_TERMS), dtype=float)
     b = np.cumprod(np.concatenate(([1.0], (j - 1.0 - alpha) / j)))
     return np.convolve(b, _residual_power(k, alpha))[:J + 1]
@@ -183,8 +182,7 @@ def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:
     """
     check_order(k)
     check_alpha(alpha)
-    if J < 0:
-        raise ParameterDomainError(f"J must be >= 0, got {J!r}")
+    J = check_count(J, "J", 0)
     return _power_series(tuple(float(c) for c in bdf_polynomial(k)), alpha, J + 1)
 
 

@@ -37,9 +37,10 @@ def parses_config(parse):
     return wrapper
 
 
-def config_int(value, name: str) -> int:
-    """A count read from a config: an integer, not a bool, a float (2.7
-    would be truncated) or a numeric string."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+def check_count(value, name: str, minimum: int) -> int:
+    """A count: an integer >= minimum, returned as an int.  Bools, floats and
+    numeric strings are rejected: True would count as 1, int() would
+    truncate 2.7, and NaN fails every comparison."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

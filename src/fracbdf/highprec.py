@@ -53,7 +53,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .coefficients import bdf_polynomial, check_alpha, check_order
-from .errors import ParameterDomainError
+from .errors import check_count
 from .solver import correction_weights, scalar_problem
 from .special import mittag_leffler_mp
 
@@ -177,17 +177,20 @@ def _march_fixed(l: list, k: int, alpha: float, lam: float, T: float, N: int,
     return v[N] + (1 << P)
 
 
-def _check_scalar(alpha: float, sigma: float, lam: float, rho: float, T: float, N: int) -> None:
-    """Reject what :func:`~fracbdf.solver.scalar_problem` rejects, and N < 1."""
+def _check_scalar(alpha: float, sigma: float, lam: float, rho: float, T: float, N: int,
+                  dps: int) -> None:
+    """Reject what :func:`~fracbdf.solver.scalar_problem` rejects, an N that
+    is not an integer >= 1 and a dps that is not an integer >= 16, the
+    floor of ``convergence_harness``'s ``precision``."""
     scalar_problem(lam, alpha, sigma, rho, T)
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
+    check_count(N, "N", 1)
+    check_count(dps, "dps", 16)
 
 
 def solve_scalar_mp(k: int, alpha: float, sigma: float, lam: float, rho: float,
                     T: float, N: int, corrected: bool = True, dps: int = 30) -> mpf:
     """Terminal value u^N of the scalar scheme at resolution 2^-fixed_bits(dps)."""
-    _check_scalar(alpha, sigma, lam, rho, T, N)
+    _check_scalar(alpha, sigma, lam, rho, T, N, dps)
     P = fixed_bits(dps)
     v = _march_fixed(scalar_weights_mp(k, alpha, N, P), k, alpha, lam, T, N, corrected, P)
     with mp.workprec(P):
@@ -198,7 +201,7 @@ def terminal_error_mp(k: int, alpha: float, sigma: float, lam: float,
                       rho: float, T: float, N: int, corrected: bool = True,
                       dps: int = 30) -> float:
     """|u^N - u(T)| with both sides evaluated at ``dps`` digits or finer."""
-    _check_scalar(alpha, sigma, lam, rho, T, N)
+    _check_scalar(alpha, sigma, lam, rho, T, N, dps)
     return _path_errors_mp(k, alpha, lam, rho, T, (N,), ((sigma, corrected),), dps)[0][0]
 
 

@@ -12,13 +12,16 @@ the composite series  q(zeta) = g(zeta)/mu(zeta)  has coefficients
 
 where c_m are the power-series coefficients of 1/mu(zeta) (tempering
 included).  The c_m are generated by formal power-series division, which
-works for any multiplier tuple; closed forms are known per order and serve
-as a built-in consistency check:
+works for any multiplier tuple.  mu also splits into linear factors,
 
-    k = 3, 4 :  c_m = (1/2)^m                      * e^(-sigma*m*tau)
-    k = 5    :  c_m = (m+1)/2^m                    * e^(-sigma*m*tau)
-    k = 6    :  c_m = (243*18^(m-1) - 15^(m+1) + 25*10^(m-1)) / 30^m
-                                                   * e^(-sigma*m*tau)
+    mu(zeta) = prod_i (1 - c_i e^(-sigma*tau) zeta)^(m_i),
+
+with c = 1/2 for k = 3, 4, c = 1/2 twice for k = 5 and c = 3/5, 1/2, 1/3
+for k = 6 (:data:`_RECIPROCAL_FACTORS`).  So 1/mu is also the product of
+the geometric series  sum_m (c_i e^(-sigma*tau))^m zeta^m.  That factor
+product serves as a built-in consistency check of the division; it also
+guards the factor table, which the argument sweep of
+:mod:`fracbdf.stability` reads.
 
 Orders 1 and 2 are A-stable as they stand; their multiplier tuple is empty
 and 1/mu(zeta) == 1.
@@ -32,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import CoefficientTable, FracParams, check_order
-from .errors import InternalConsistencyError, ParameterDomainError
+from .errors import InternalConsistencyError, ParameterDomainError, check_count
 
 _MULTIPLIERS = {
     1: (),
@@ -41,6 +44,16 @@ _MULTIPLIERS = {
     4: (Fraction(1, 2),),
     5: (Fraction(1), Fraction(-1, 4)),
     6: (Fraction(43, 30), Fraction(-2, 3), Fraction(1, 10)),
+}
+
+# Linear factors (c, multiplicity) with prod (1 - c*z)^mult == mu(z).
+_RECIPROCAL_FACTORS = {
+    1: (),
+    2: (),
+    3: ((Fraction(1, 2), 1),),
+    4: ((Fraction(1, 2), 1),),
+    5: ((Fraction(1, 2), 2),),
+    6: ((Fraction(3, 5), 1), (Fraction(1, 2), 1), (Fraction(1, 3), 1)),
 }
 
 _DIVISION_CHECK_RTOL = 1e-13
@@ -64,18 +77,22 @@ def multiplier_set(k: int) -> MultiplierSet:
     return MultiplierSet(k=k, mu=_MULTIPLIERS[k])
 
 
-def _closed_form_ratio(k: int, m: int) -> tuple[int, int]:
-    """Untempered reciprocal coefficient c_m for k in {3,...,6} as an
-    integer numerator and denominator (not reduced)."""
-    if k in (3, 4):
-        return 1, 2 ** m
-    if k == 5:
-        return m + 1, 2 ** m
-    if k == 6:
-        if m == 0:
-            return 1, 1
-        return 243 * 18 ** (m - 1) - 15 ** (m + 1) + 25 * 10 ** (m - 1), 30 ** m
-    raise ParameterDomainError(f"no closed-form reciprocal for k={k}")
+def _tempered_multipliers(k: int, damp: float) -> list[float]:
+    """mu_j e^(-sigma*j*tau) for j = 1..k, with damp = e^(-sigma*tau)."""
+    return [float(m) * damp ** j for j, m in enumerate(_MULTIPLIERS[k], start=1)]
+
+
+def _factor_series(k: int, damp: float, J: int) -> np.ndarray:
+    """c_0..c_J of 1/mu as the product of its factors' geometric series:
+    one ``np.convolve`` with sum_m (c*damp)^m z^m per factor and
+    multiplicity, cut to J + 1 terms."""
+    powers = np.arange(J + 1)
+    out = np.zeros(J + 1)
+    out[0] = 1.0
+    for c, mult in _RECIPROCAL_FACTORS[k]:
+        for _ in range(mult):
+            out = np.convolve(out, (float(c) * damp) ** powers)[:J + 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,17 +107,16 @@ class ReciprocalSeries:
 def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
     """Expand 1/mu(zeta) to order J by formal power-series division.
 
-    For k >= 3 the result is cross-checked entry by entry against the
-    closed forms; disagreement beyond 1e-13 relative raises
-    :class:`InternalConsistencyError` since both sides are hard-coded
-    constants that cannot legitimately drift apart.
+    The result is cross-checked entry by entry against the factor product
+    (:func:`_factor_series`); disagreement beyond 1e-13 relative raises
+    :class:`InternalConsistencyError`, since both sides come from
+    hard-coded tables (the multipliers and their factors) that cannot
+    legitimately drift apart.
     """
     check_order(k)
-    if J < 0:
-        raise ParameterDomainError(f"J must be >= 0, got {J!r}")
-    mults = multiplier_set(k)
+    J = check_count(J, "J", 0)
     damp = params.damping
-    mu_w = [float(m) * damp ** j for j, m in enumerate(mults.mu, start=1)]
+    mu_w = _tempered_multipliers(k, damp)
     c = [1.0]
     for m in range(1, J + 1):
         acc = 0.0
@@ -109,15 +125,14 @@ def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
                 break
             acc += mw * c[m - j]
         c.append(acc)
-    if mults.mu:
-        for m in range(J + 1):
-            num, den = _closed_form_ratio(k, m)
-            ref = num / den * damp ** m         # int / int is correctly rounded
-            if abs(c[m] - ref) > _DIVISION_CHECK_RTOL * max(1.0, abs(ref)):
-                raise InternalConsistencyError(
-                    f"reciprocal series mismatch at k={k}, m={m}: "
-                    f"division {c[m]!r} vs closed form {ref!r}")
     c = np.array(c)
+    ref = _factor_series(k, damp, J)
+    ok = np.abs(c - ref) <= _DIVISION_CHECK_RTOL * np.maximum(1.0, np.abs(ref))
+    if not ok.all():                    # a NaN fails too
+        m = int(np.argmin(ok))
+        raise InternalConsistencyError(
+            f"reciprocal series mismatch at k={k}, m={m}: "
+            f"division {float(c[m])!r} vs factor product {float(ref[m])!r}")
     c.setflags(write=False)
     return ReciprocalSeries(k=k, params=params, c=c)
 

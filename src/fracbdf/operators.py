@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientTable, FracParams, bdf_g_coefficients, check_order
-from .errors import ParameterDomainError, config_int, parses_config
+from .errors import ParameterDomainError, check_count, parses_config
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ class QuadratureRule:
     def gauss_legendre(n: int = 16) -> "QuadratureRule":
         """Gauss-Legendre rule mapped to (0, 1); interior nodes avoid the
         degenerate endpoints alpha = 0 (identity) and alpha = 1 (classical)."""
-        if n < 1:
-            raise ParameterDomainError(f"node count must be >= 1, got {n!r}")
+        n = check_count(n, "nodes", 1)
         xs, ws = np.polynomial.legendre.leggauss(n)
         return QuadratureRule(nodes=(xs + 1.0) / 2.0, weights=ws / 2.0)
 
@@ -192,8 +191,7 @@ def discretize(spec: FractionalOperatorSpec, k: int, tau: float,
     check_order(k)
     if tau <= 0.0:
         raise ParameterDomainError(f"tau must be > 0, got {tau!r}")
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N!r}")
+    N = check_count(N, "N", 1)
     scales = []
     tables = []
     for b, alpha in _order_pairs(spec):
@@ -266,6 +264,6 @@ def operator_spec_from_dict(d: dict) -> FractionalOperatorSpec:
             f"unknown weight function {name!r}; known: "
             f"{sorted(WEIGHT_FUNCTIONS) + ['dirac_comb']}")
     weight = WEIGHT_FUNCTIONS[name](**params)
-    rule = QuadratureRule.gauss_legendre(config_int(d.get("nodes", 16), "nodes"))
+    rule = QuadratureRule.gauss_legendre(d.get("nodes", 16))
     return FractionalOperatorSpec(DistributedOrder(weight=weight, quadrature=rule),
                                   sigma=sigma)

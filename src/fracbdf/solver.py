@@ -94,12 +94,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from .coefficients import bdf_l_coefficients, check_alpha, check_order
-from .errors import InternalConsistencyError, ParameterDomainError, config_int, parses_config
+from .errors import InternalConsistencyError, ParameterDomainError, check_count, parses_config
 from .operators import FractionalOperatorSpec, SingleTerm, discretize, operator_spec_from_dict
 from .special import exact_scalar_solution
 
@@ -196,11 +195,9 @@ class TridiagonalLaplacian:
     """
 
     def __init__(self, size: int, length: float = 1.0):
-        if size < 1:
-            raise ParameterDomainError(f"size must be >= 1, got {size!r}")
+        self.size = check_count(size, "size", 1)
         if not 0.0 < length < math.inf:
             raise ParameterDomainError(f"length must be finite and > 0, got {length!r}")
-        self.size = int(size)
         self.length = float(length)
         self.h = self.length / (self.size + 1)
         self._main = 2.0 / self.h ** 2
@@ -456,8 +453,7 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
     w once, at the end.
     """
     check_order(k)
-    if N < k:
-        raise ParameterDomainError(f"need N >= k = {k}, got N = {N}")
+    N = check_count(N, "N", k)
     tau = problem.T / N
     S = discretize(problem.time_op, k, tau, N).untempered_weights
     w, residuals = _untempered_march(problem.A, S, rho, _corrections(k, corrected))
@@ -673,8 +669,7 @@ def spatial_from_dict(d: dict):
     if variant == "scalar":
         return ScalarOperator(float(d["value"]))
     if variant == "tridiagonal":
-        return TridiagonalLaplacian(config_int(d["size"], "size"),
-                                    float(d.get("length", 1.0)))
+        return TridiagonalLaplacian(d["size"], float(d.get("length", 1.0)))
     return DenseSPDOperator(np.asarray(d["matrix"], dtype=float))
 
 
@@ -744,7 +739,7 @@ class ConvergenceReport:
 
 
 def _refinement_path(N_list) -> tuple[int, ...]:
-    N_list = tuple(int(n) for n in N_list)
+    N_list = tuple(check_count(n, "N", 1) for n in N_list)
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ParameterDomainError("N_list must be strictly increasing, length >= 2")
     return N_list
@@ -793,9 +788,8 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     """
     check_order(k)
     check_alpha(alpha)
-    if precision is not None and (not isinstance(precision, Integral) or precision < 16):
-        raise ParameterDomainError(
-            f"precision must be an integer number of digits >= 16, got {precision!r}")
+    if precision is not None:
+        check_count(precision, "precision (digits)", 16)
     # validates lam, rho, T and every sigma
     problems = [scalar_problem(lam, alpha, sigma, rho, T) for sigma, _ in variants]
     N_list = _refinement_path(N_list)
@@ -882,12 +876,8 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     gates every run's residuals as well; the largest is kept in the record.
     ``perturbations`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if isinstance(perturbations, bool) or not isinstance(perturbations, Integral) \
-            or perturbations < 1:
-        raise ParameterDomainError(
-            f"perturbations must be an integer >= 1, got {perturbations!r}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ParameterDomainError(f"seed must be an integer >= 0, got {seed!r}")
+    perturbations = check_count(perturbations, "perturbations", 1)
+    seed = check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     A = problem.A
     eps0 = rng.standard_normal((perturbations, A.dim))

@@ -23,7 +23,10 @@ scheme:
       z = e^(-sigma*tau) e^(ix),
 
   as  alpha*theta_1 + alpha*theta_2 + (reciprocal-factor angles), which is
-  continuous on (0, pi] and avoids principal-branch ambiguity.
+  continuous on (0, pi] and avoids principal-branch ambiguity.  The linear
+  factors (c_i, m_i) of mu come from the factor table of
+  :mod:`fracbdf.multipliers`, where every reciprocal series checks them
+  against mu itself.
 
 Everything here is checked two ways where possible: closed-form extremum
 locations against exact critical points in y = cos x (companion-matrix
@@ -47,25 +50,16 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from .coefficients import _residual_coefficients, check_alpha, check_order, check_sigma_tau
-from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError
-from .multipliers import QTable, multiplier_set
+from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError, check_count
+from .multipliers import _RECIPROCAL_FACTORS, QTable, _tempered_multipliers
 
 #: Energy constants c_k of the multiplier lower bound.
 ENERGY_CONSTANTS = {3: Fraction(1, 2), 4: Fraction(1, 2),
                     5: Fraction(1, 4), 6: Fraction(1, 24)}
-
-# Linear factors (c, multiplicity) with prod (1 - c*z)^mult == mu(z).
-_RECIPROCAL_FACTORS = {
-    3: ((Fraction(1, 2), 1),),
-    4: ((Fraction(1, 2), 1),),
-    5: ((Fraction(1, 2), 2),),
-    6: ((Fraction(3, 5), 1), (Fraction(1, 2), 1), (Fraction(1, 3), 1)),
-}
 
 
 def _check_multiplier_order(k: int) -> int:
@@ -103,10 +97,8 @@ def positivity_generating_function(k: int, sigma: float = 0.0,
     """
     _check_multiplier_order(k)
     check_sigma_tau(sigma, tau)
-    damp = math.exp(-sigma * tau)
-    mu = multiplier_set(k).mu_float
     coeffs = [float(1 - ENERGY_CONSTANTS[k])]
-    coeffs += [-m * damp ** j for j, m in enumerate(mu, start=1)]
+    coeffs += [-m for m in _tempered_multipliers(k, math.exp(-sigma * tau))]
     return TrigPolynomial(tuple(coeffs))
 
 
@@ -157,11 +149,6 @@ def trig_min(f: TrigPolynomial) -> tuple[float, float]:
     x, v = _trig_candidates(f)
     i = int(np.argmin(v))
     return float(x[i]), float(v[i])
-
-
-def _check_length(N: int) -> None:
-    if isinstance(N, bool) or not isinstance(N, Integral) or N < 1:
-        raise ParameterDomainError(f"N must be an integer >= 1, got {N!r}")
 
 
 #: Largest N at which a multiplier band is solved through the dense halves
@@ -316,7 +303,7 @@ def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
     Cauchy interlacing with a larger section), so failure means a bug.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
-    _check_length(N)
+    N = check_count(N, "N", 1)
     lam_min, lam_max, _ = _section_extremes(band, N)
     f_min, f_max = _symbol_extrema(k, sigma, tau)
     result = ToeplitzEigenCheck(k=k, sigma=sigma, tau=tau, N=N,
@@ -357,7 +344,7 @@ def multiplier_energy_check(k: int, sigma: float = 0.0, tau: float = 1.0,
     ``seed`` are accepted and unused.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
-    _check_length(N)
+    N = check_count(N, "N", 1)
     lam_min, _, vec = _section_extremes(band, N, witness_below=-tol / N)
     return EnergyCheck(k=k, min_slack=lam_min * N, tol=tol, witness=vec)
 
@@ -389,7 +376,7 @@ def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
     the solver's energy estimate rests on.  ``trials`` and ``seed`` are
     accepted and unused.
     """
-    _check_length(N)
+    N = check_count(N, "N", 1)
     if q.J < N - 1:
         raise ParameterDomainError(f"q covers j <= {q.J}, need j <= {N - 1}")
     scale = float(np.abs(q.q[:N]).sum())
@@ -488,8 +475,7 @@ def argument_sweep(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
     _check_multiplier_order(k)
     check_alpha(alpha)
     check_sigma_tau(sigma, tau)
-    if grid_size < 16:
-        raise ParameterDomainError(f"grid_size must be >= 16, got {grid_size}")
+    grid_size = check_count(grid_size, "grid_size", 16)
     x, theta1, theta2, recip = _sweep_angles(k, math.exp(-sigma * tau), grid_size)
     arg = alpha * theta1 + alpha * theta2 + sum(recip)
     jump = float(np.max(np.abs(np.diff(arg))))

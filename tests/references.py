@@ -10,7 +10,8 @@ from scipy.linalg import toeplitz
 
 from fracbdf import multiplier_set, positivity_generating_function
 from fracbdf.errors import InternalConsistencyError
-from fracbdf.stability import _RECIPROCAL_FACTORS, _factored_angles, _residual_values
+from fracbdf.multipliers import _RECIPROCAL_FACTORS
+from fracbdf.stability import _factored_angles, _residual_values
 
 
 def mu_zeta_polynomial(k, sigma=0.0, tau=1.0):

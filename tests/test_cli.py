@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
+import fracbdf as f
 from fracbdf.cli import main
+from fracbdf.highprec import terminal_error_mp
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +332,38 @@ def test_solve_rejects_non_integer_counts(capsys, tmp_path, case):
     payload = json.loads(captured.err)
     assert payload["kind"] == "error"
     assert message in payload["error"]
+
+
+#: Entry points that take a count, each called with the count under test.
+COUNT_ENTRY_POINTS = {
+    "bdf_l_coefficients": lambda n: f.bdf_l_coefficients(3, 0.5, n),
+    "series_oracle": lambda n: f.series_oracle(3, 0.5, n),
+    "reciprocal_series": lambda n: f.reciprocal_series(6, f.FracParams(alpha=0.5), n),
+    "discretize": lambda n: f.discretize(f.FractionalOperatorSpec(f.SingleTerm(0.5)),
+                                         3, 0.1, n),
+    "step_solve": lambda n: f.step_solve(f.scalar_problem(1.0, 0.5), 3, n),
+    "convergence_harness": lambda n: f.convergence_harness(3, 0.5, 0.0, 1.0, (n, 128)),
+    "toeplitz_eigencheck": lambda n: f.toeplitz_eigencheck(3, 0.0, 1.0, n),
+    "stability_experiment": lambda n: f.stability_experiment(
+        f.scalar_problem(1.0, 0.5), 3, 16, perturbations=n),
+    "TridiagonalLaplacian": f.TridiagonalLaplacian,
+    "terminal_error_mp": lambda n: terminal_error_mp(3, 0.5, 0.0, 1.0, 1.0, 1.0, 8, dps=n),
+}
+
+
+@pytest.mark.parametrize("value", (2.5, math.nan, True, "3"), ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_non_integer_counts_are_domain_errors(capsys, tmp_path, entry, value):
+    # before, 2.5 and "3" ended in a raw TypeError, NaN in a raw ValueError
+    # and True ran as 1; N = 64.9 ran as 64
+    with pytest.raises(f.ParameterDomainError, match="must be an integer"):
+        COUNT_ENTRY_POINTS[entry](value)
+    if entry == "TridiagonalLaplacian":                 # the same via the CLI
+        cfg = tmp_path / "prob.json"
+        cfg.write_text(json.dumps({"operator": _SINGLE, "rho": 1.0, "T": 1.0,
+                                   "spatial": {"variant": "tridiagonal", "size": value}}))
+        assert main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "error"
 
 
 def test_solve_accepts_integer_counts(capsys, tmp_path):

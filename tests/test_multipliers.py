@@ -1,12 +1,13 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracbdf import (FracParams, ParameterDomainError, bdf_g_coefficients,
-                     multiplier_set, q_coefficients, reciprocal_series)
-from fracbdf.multipliers import _closed_form_ratio
+from fracbdf import (FracParams, InternalConsistencyError, ParameterDomainError,
+                     bdf_g_coefficients, multiplier_set, q_coefficients, reciprocal_series)
+from fracbdf.multipliers import _MULTIPLIERS, _RECIPROCAL_FACTORS, _factor_series
 from references import mu_roots, mu_zeta_polynomial
 
 
@@ -32,10 +33,12 @@ def test_bdf6_roots_closed_form():
 
 
 def test_reciprocal_closed_forms_at_reference_points():
-    assert Fraction(*_closed_form_ratio(6, 0)) == 1
-    assert Fraction(*_closed_form_ratio(6, 1)) == Fraction(43, 30)
-    assert Fraction(*_closed_form_ratio(5, 2)) == Fraction(3, 4)
-    assert Fraction(*_closed_form_ratio(3, 3)) == Fraction(1, 8)
+    def c(k, m):
+        return reciprocal_series(k, FracParams(alpha=0.5), m).c[m]
+    assert c(6, 0) == 1.0
+    assert c(6, 1) == float(Fraction(43, 30))
+    assert c(5, 2) == float(Fraction(3, 4))
+    assert c(3, 3) == float(Fraction(1, 8))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
@@ -108,15 +111,37 @@ def _reference_closed_form(k, m):
     return num / Fraction(30) ** m
 
 
+@functools.cache
+def _closed_form_floats(k, J):
+    return np.array([float(_reference_closed_form(k, m)) for m in range(J + 1)])
+
+
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
-def test_closed_form_int_division_bitwise_equals_fraction(k):
-    # int / int is correctly rounded, as is float(Fraction): the two must
-    # agree bit for bit, including where the values underflow to zero
-    for m in range(4001):
-        num, den = _closed_form_ratio(k, m)
-        ref = _reference_closed_form(k, m)
-        assert num * ref.denominator == ref.numerator * den, m
-        assert (num / den).hex() == float(ref).hex(), m
+@pytest.mark.parametrize("st", (0.0, 0.5))
+def test_factor_product_matches_closed_forms(k, st):
+    # the float product of the factors' geometric series, the reference of
+    # the division check, against the exact closed forms, tempered
+    J = 4000
+    damp = FracParams(alpha=0.5, sigma=st, tau=1.0).damping
+    ref = _closed_form_floats(k, J) * damp ** np.arange(J + 1)
+    err = np.abs(_factor_series(k, damp, J) - ref)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
+
+
+def test_multiplier_slip_raises(monkeypatch):
+    monkeypatch.setitem(_MULTIPLIERS, 6, (Fraction(43, 30), Fraction(-2, 3), Fraction(1, 11)))
+    with pytest.raises(InternalConsistencyError, match="k=6, m=3") as info:
+        reciprocal_series(6, FracParams(alpha=0.5), 64)
+    assert "np.float64" not in str(info.value)
+
+
+def test_factor_slip_raises(monkeypatch):
+    # the factor table feeds the argument sweep too; the division check
+    # guards it as well
+    monkeypatch.setitem(_RECIPROCAL_FACTORS, 6,
+                        ((Fraction(3, 5), 1), (Fraction(1, 2), 1), (Fraction(1, 4), 1)))
+    with pytest.raises(InternalConsistencyError, match="k=6, m=1"):
+        reciprocal_series(6, FracParams(alpha=0.5), 64)
 
 
 def _reference_reciprocal(k, damp, J):

@@ -13,9 +13,9 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      positivity_generating_function, q_coefficients,
                      quadrature_positivity_check, stability_report,
                      toeplitz_eigencheck, trig_min)
-from fracbdf.stability import (_BAND_MIN_CUBIC, _RECIPROCAL_FACTORS, _factored_angles,
-                               _residual_values, _sweep_angles, _symbol_extrema,
-                               _trig_candidates)
+from fracbdf.multipliers import _RECIPROCAL_FACTORS
+from fracbdf.stability import (_BAND_MIN_CUBIC, _factored_angles, _residual_values,
+                               _sweep_angles, _symbol_extrema, _trig_candidates)
 from references import mu_zeta_polynomial, q_boundary_values, toeplitz_band
 
 HALF_PI = math.pi / 2.0
