@@ -1,7 +1,8 @@
 """Exception types shared across the package."""
 
 import functools
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class ParameterDomainError(ValueError):
@@ -44,3 +45,13 @@ def check_count(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_tolerance(value, name: str) -> float:
+    """A tolerance: a finite real >= 0, returned as a float.  Bools and
+    numeric strings are rejected, and NaN, which would pass or fail every
+    comparison silently."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0.0 <= value < math.inf):
+        raise ParameterDomainError(f"{name} must be a finite real >= 0, got {value!r}")
+    return float(value)

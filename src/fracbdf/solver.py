@@ -85,7 +85,8 @@ diagonally dominant, the case in which the partition method is stable
 error is within 2x that of LAPACK ``dpttrs`` (tests/test_spatial_numpy.py).
 The march runs on numpy alone and loads no scipy module.  All operators
 expose the energy norm |A^(1/2) v|, which the stability experiments use,
-and ``shifted_solver`` for one step's system (S_0 I + A) x = b.
+and ``shifted_solver`` for one step's system (S_0 I + A) x = b, whose solve
+takes numpy's ``out=``: the march solves in its right-hand-side buffer.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ import numpy as np
 from .coefficients import bdf_l_coefficients, check_alpha, check_order
 from .errors import InternalConsistencyError, ParameterDomainError, check_count, parses_config
 from .operators import FractionalOperatorSpec, SingleTerm, discretize, operator_spec_from_dict
-from .special import exact_scalar_solution
+from .special import _standard_normal, exact_scalar_solution
 
 #: Starting corrections a_1..a_{k-1}, exact rationals.
 _CORRECTIONS = {
@@ -176,7 +177,7 @@ class ScalarOperator:
 
     def shifted_solver(self, shift: float):
         denom = shift + self.value
-        return lambda rhs: np.asarray(rhs, dtype=float) / denom
+        return lambda rhs, out=None: np.divide(np.asarray(rhs, dtype=float), denom, out=out)
 
     def eigensystem(self):
         """(lam, to_modal, from_modal); the basis is the identity."""
@@ -240,6 +241,12 @@ class TridiagonalLaplacian:
         the 2C rows next to the C cuts solve a 2C x 2C interface system,
         whose coefficients are entries of the piece's inverse; with them
         known, one lockstep solve gives x (and zero padding rows).
+
+        The returned ``solve(rhs, out=None)`` writes x into ``out`` if it is
+        given (a C-contiguous float64 array of rhs's shape, rhs itself
+        included).  With one piece the sweeps run in place in it, viewed as
+        (m, 1, cols); with several they run in an (m, P, cols) buffer that
+        is copied into it, viewed as (P, m, cols), at the end.
         """
         n, main, off = self.size, self._main + shift, self._off
         if not shift + self.eigenvalues()[0] > 0.0:
@@ -278,18 +285,30 @@ class TridiagonalLaplacian:
             G = G[locs]
             rows = (at // m, [locs.index(q) for q in at % m])
 
-        def solve(rhs):
+        def solve(rhs, out=None):
             rhs = np.asarray(rhs, dtype=float)
-            b = rhs.reshape(n, -1)
-            X = np.zeros((m, P, b.shape[1]))
+            if out is None:
+                out = np.empty(rhs.shape)
+            elif not (out.shape == rhs.shape and out.dtype == float and out.flags.c_contiguous):
+                raise ValueError("out must be a C-contiguous float64 array of rhs's shape")
+            b, x = rhs.reshape(n, -1), out.reshape(n, -1)       # x is a view
+            cols = b.shape[1]
+            if P == 1:                          # in place, in out
+                if out is not rhs:
+                    x[...] = b
+                pieces(x.reshape(m, 1, cols))
+                return out
+            X = np.zeros((m, P, cols))
             Xp = X.transpose(1, 0, 2)           # (piece, row, column) view
-            Xp[:-1] = b[:(P - 1) * m].reshape(P - 1, m, b.shape[1])
+            Xp[:-1] = b[:(P - 1) * m].reshape(P - 1, m, cols)
             Xp[-1, :n - (P - 1) * m] = b[(P - 1) * m:]
             if cuts:
                 x_at = np.linalg.solve(Z, (G @ Xp)[rows])
                 X[enter % m, enter // m] -= o * x_at
             pieces(X)
-            return Xp.reshape(P * m, -1)[:n].reshape(rhs.shape)
+            x[:(P - 1) * m].reshape(P - 1, m, cols)[...] = Xp[:-1]
+            x[(P - 1) * m:] = Xp[-1, :n - (P - 1) * m]
+            return out
         return solve
 
     def eigensystem(self):
@@ -335,7 +354,14 @@ class DenseSPDOperator:
 
     def shifted_solver(self, shift: float):
         shifted = self.matrix + shift * np.eye(self.dim)
-        return lambda rhs: np.linalg.solve(shifted, np.asarray(rhs, dtype=float))
+
+        def solve(rhs, out=None):
+            x = np.linalg.solve(shifted, np.asarray(rhs, dtype=float))
+            if out is None:
+                return x
+            out[...] = x
+            return out
+        return solve
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the ``eigh`` basis; the transforms
@@ -493,9 +519,9 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
             f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
             f"largest eigenvalue {float(lam.max())!r}")
     rhs = _march_rhs(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis).T
-    dim, trials, M = rhs.shape
-    w = A.shifted_solver(S[0])(rhs.reshape(dim, -1)).reshape(dim, trials, M)
-    del rhs                    # the residual pass needs only w
+    flat = rhs.reshape(len(rhs), -1)
+    A.shifted_solver(S[0])(flat, out=flat)
+    w = rhs                    # solved in place
     residuals = _residuals(A, S, w, d, Arho)
     n, b = np.unravel_index(np.argmax(residuals), residuals.shape)
     if not residuals[n, b] <= RESIDUAL_BOUND:
@@ -875,12 +901,17 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     block through the kernel of :func:`step_solve`, which evaluates and
     gates every run's residuals as well; the largest is kept in the record.
     ``perturbations`` must be an integer >= 1 and ``seed`` an integer >= 0.
+
+    eps^0 holds the first perturbations x dim draws of
+    :func:`~fracbdf.special._standard_normal` for ``seed``: Box-Muller on
+    Python's seeded ``random()`` stream, which stays the same across Python
+    and numpy versions.  Earlier versions drew from
+    ``numpy.random.default_rng(seed)``, so their ratios for a seed differ.
     """
     perturbations = check_count(perturbations, "perturbations", 1)
     seed = check_count(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
     A = problem.A
-    eps0 = rng.standard_normal((perturbations, A.dim))
+    eps0 = _standard_normal(seed, (perturbations, A.dim))
     tau, decay, w, residuals = _march(problem, k, N, eps0, True)
     # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
     # that no second full-size array is live beside w.

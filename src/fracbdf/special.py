@@ -42,11 +42,15 @@ digits of that precision, else the same scaled integral by ``mp.quad``.
 The scalar model  D^(alpha,sigma)(u - e^(-sigma*t) rho) + lam*u = 0,
 u(0) = rho, reduces to the untempered problem through v = e^(sigma*t) u
 and therefore has the closed form  u(t) = e^(-sigma*t) E_alpha(-lam*t^alpha) rho.
+
+The package's seeded Gaussian draws (:func:`_standard_normal`) live here
+too: Box-Muller in numpy on the stdlib ``random`` stream.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -313,3 +317,18 @@ def exact_scalar_solution(lam: float, alpha: float, sigma: float, rho: float,
     if t == 0.0:
         return float(rho)
     return math.exp(-sigma * t) * mittag_leffler(alpha, -lam * t ** alpha) * rho
+
+
+def _standard_normal(seed: int, shape) -> np.ndarray:
+    """Standard Gaussian draws of the given shape, by Box-Muller on
+    consecutive pairs (u1, u2) of ``random.Random(seed).random()``:
+    sqrt(-2 log(1 - u1)) cos(2 pi u2).  Python keeps the ``random()`` stream
+    of a seeded generator fixed across versions, which numpy does not
+    promise for its ``Generator`` streams, and the stdlib ``random`` module
+    is loaded by ``import numpy`` already, whereas ``numpy.random`` is 19
+    more modules (~6 MiB resident).  The draws of a shape are a prefix of
+    those of any larger size."""
+    n = int(np.prod(shape))
+    draw = random.Random(seed).random
+    u1, u2 = np.fromiter((draw() for _ in range(2 * n)), float, 2 * n).reshape(n, 2).T
+    return (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)).reshape(shape)

@@ -54,8 +54,10 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import _residual_coefficients, check_alpha, check_order, check_sigma_tau
-from .errors import GridTooCoarseError, InternalConsistencyError, ParameterDomainError, check_count
+from .errors import (GridTooCoarseError, InternalConsistencyError, ParameterDomainError,
+                     check_count, check_tolerance)
 from .multipliers import _RECIPROCAL_FACTORS, QTable, _tempered_multipliers
+from .special import _standard_normal
 
 #: Energy constants c_k of the multiplier lower bound.
 ENERGY_CONSTANTS = {3: Fraction(1, 2), 4: Fraction(1, 2),
@@ -132,6 +134,26 @@ def _extremum_candidates(p_desc) -> list[float]:
     return [-1.0, *_real_roots_in(dp, -1.0, 1.0), 1.0]
 
 
+def _cheb2poly(c) -> np.ndarray:
+    """Power-series coefficients, low degree first, of the Chebyshev series
+    c: the loop of numpy's ``cheb2poly`` with its operations in its order,
+    so bitwise its result, without loading ``numpy.polynomial``.  Trailing
+    zeros of c are dropped first, as there; no later leading term vanishes."""
+    c = np.array(c, dtype=float, ndmin=1)
+    c = c[:max(np.flatnonzero(c), default=0) + 1]
+    if len(c) < 3:
+        return c
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(len(c) - 1, 1, -1):       # i is the degree of c1
+        tmp, c0 = c0, -c1
+        c0[0] += c[i - 2]
+        c1 = np.concatenate(([c1[0] * 0], c1)) * 2
+        c1[:len(tmp)] += tmp
+    c1 = np.concatenate(([c1[0] * 0], c1))
+    c1[:len(c0)] += c0
+    return c1
+
+
 def _trig_candidates(f: TrigPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """Points x in [0, pi] where f can take its extrema, and f there.
 
@@ -139,7 +161,7 @@ def _trig_candidates(f: TrigPolynomial) -> tuple[np.ndarray, np.ndarray]:
     y = cos x; its extrema lie at y = +-1 or at real roots of f'(y).  The
     values come from the cos form of f itself.
     """
-    p = np.polynomial.chebyshev.cheb2poly(f.coeffs)[::-1]
+    p = _cheb2poly(f.coeffs)[::-1]
     x = np.arccos(np.clip(_extremum_candidates(p), -1.0, 1.0))
     return x, f(x)
 
@@ -250,7 +272,7 @@ def _band_witness(band: np.ndarray, lo: float, norm: float) -> np.ndarray:
     shifted = band.copy()
     shifted[-1] -= lo - 1e-12 * norm
     fac = (cholesky_banded(shifted), False)
-    v = np.random.default_rng(0).standard_normal(band.shape[1])
+    v = _standard_normal(0, band.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(_WITNESS_SOLVES):
         x = cho_solve_banded(fac, v)
@@ -298,12 +320,14 @@ def toeplitz_eigencheck(k: int, sigma: float, tau: float, N: int,
     symmetrized band matrix of dimension N: two dense half-size blocks for
     N <= ``_DENSE_MAX_N``, band storage with no N x N matrix above it.
 
-    A violation beyond ``tol`` raises InternalConsistencyError: the
-    sandwich is a theorem for these matrices (for N <= k it follows by
-    Cauchy interlacing with a larger section), so failure means a bug.
+    A violation beyond ``tol`` (a finite real >= 0) raises
+    InternalConsistencyError: the sandwich is a theorem for these matrices
+    (for N <= k it follows by Cauchy interlacing with a larger section), so
+    failure means a bug.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
     N = check_count(N, "N", 1)
+    tol = check_tolerance(tol, "tol")
     lam_min, lam_max, _ = _section_extremes(band, N)
     f_min, f_max = _symbol_extrema(k, sigma, tau)
     result = ToeplitzEigenCheck(k=k, sigma=sigma, tau=tau, N=N,
@@ -339,12 +363,13 @@ def multiplier_energy_check(k: int, sigma: float = 0.0, tau: float = 1.0,
     lambda_min * N of the symmetrized band.  The states may lie in any
     Hilbert space; the minimum is the same in every dimension.
 
-    A negative minimum beyond tol would contradict the Toeplitz analysis;
-    the lambda_min eigenvector is then the witness.  ``trials`` and
-    ``seed`` are accepted and unused.
+    A negative minimum beyond ``tol`` (a finite real >= 0) would contradict
+    the Toeplitz analysis; the lambda_min eigenvector is then the witness.
+    ``trials`` and ``seed`` are accepted and unused.
     """
     band = positivity_generating_function(k, sigma, tau).coeffs
     N = check_count(N, "N", 1)
+    tol = check_tolerance(tol, "tol")
     lam_min, _, vec = _section_extremes(band, N, witness_below=-tol / N)
     return EnergyCheck(k=k, min_slack=lam_min * N, tol=tol, witness=vec)
 
@@ -367,8 +392,8 @@ class QuadraticFormCheck:
 def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
                                 seed: int = 0, tol: float = 1e-10) -> QuadraticFormCheck:
     """Exact minimum of sum_n (sum_{j<n} q_j v^(n-j), v^n) over all
-    v^1..v^N, in any Hilbert space, checked nonnegative up to a scaled
-    tolerance.
+    v^1..v^N, in any Hilbert space, checked nonnegative up to the
+    tolerance ``tol`` (a finite real >= 0) scaled by sum_j |q_j|.
 
     ``min_value`` is lambda_min * N (sum_n |v^n|^2 = N) and ``min_scaled``
     is lambda_min / sum_j |q_j|; on failure the lambda_min eigenvector is
@@ -377,6 +402,7 @@ def quadrature_positivity_check(q: QTable, N: int, trials: int = 1000,
     accepted and unused.
     """
     N = check_count(N, "N", 1)
+    tol = check_tolerance(tol, "tol")
     if q.J < N - 1:
         raise ParameterDomainError(f"q covers j <= {q.J}, need j <= {N - 1}")
     scale = float(np.abs(q.q[:N]).sum())

@@ -148,6 +148,43 @@ def test_verify_paper_loads_no_scipy_module():
                          text=True, check=True, timeout=300).stdout
     assert out.splitlines() == ["(0, 0) []"]
 
+
+def test_verify_paper_loads_no_numpy_random_or_polynomial(tmp_path):
+    """The perturbations and the banded witness draw from the stdlib random
+    stream and the Chebyshev conversion is local, so verify-paper loads no
+    numpy.random or numpy.polynomial module and a stability run no
+    numpy.random module.  The banded path (N > 512) imports scipy.linalg,
+    which loads both itself; there numpy's generators are removed instead,
+    and a toeplitz check and a failing k = 6 witness at N = 600 still run."""
+    cfg = tmp_path / "prob.json"
+    cfg.write_text(json.dumps({
+        "operator": {"variant": "single_term", "alpha": 0.5, "sigma": 0.0},
+        "spatial": {"variant": "tridiagonal", "size": 16}, "rho": {"profile": "sin"},
+        "T": 1.0}))
+    code = ("import contextlib, io, sys\n"
+            "from fractions import Fraction\n"
+            "from fracbdf import stability\n"
+            "from fracbdf.cli import main\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(names))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    print(main(['verify-paper']), loaded('numpy.random', 'numpy.polynomial'),\n"
+            "          file=sys.__stdout__)\n"
+            f"    print(main(['stability', '--config', {str(cfg)!r}, '--k', '3',\n"
+            "                '--trials', '3', '--n-list', '16,32']), loaded('numpy.random'),\n"
+            "          file=sys.__stdout__)\n"
+            "    import numpy, scipy.linalg\n"
+            "    del numpy.random.default_rng, numpy.random.Generator, numpy.random.standard_normal\n"
+            "    print(main(['toeplitz', '--k', '6', '--N', '600']), file=sys.__stdout__)\n"
+            "stability.ENERGY_CONSTANTS[6] = Fraction(9, 10)\n"
+            "print(stability.multiplier_energy_check(6, N=600).witness.shape)\n")
+    src = str(Path(fracbdf.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    assert out.splitlines() == ["0 []", "0 []", "0", "(600,)"]
+
 # ---------------------------------------------------------------------------
 # exact minima against the sampled ones
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 import fracbdf as f
@@ -364,6 +366,38 @@ def test_non_integer_counts_are_domain_errors(capsys, tmp_path, entry, value):
                                    "spatial": {"variant": "tridiagonal", "size": value}}))
         assert main(["solve", "--config", str(cfg), "--k", "2", "--n", "8"]) == 2
         assert json.loads(capsys.readouterr().err)["kind"] == "error"
+
+
+def _q_table(N):
+    return f.q_coefficients(f.bdf_g_coefficients(3, f.FracParams(alpha=0.5), N),
+                            f.multiplier_set(3), N)
+
+
+#: Entry points that take a tolerance, each called with the tolerance under test.
+TOLERANCE_ENTRY_POINTS = {
+    "toeplitz_eigencheck": lambda tol: f.toeplitz_eigencheck(3, 0.0, 1.0, 10, tol=tol),
+    "multiplier_energy_check": lambda tol: f.multiplier_energy_check(3, N=10, tol=tol),
+    "quadrature_positivity_check": lambda tol: f.quadrature_positivity_check(
+        _q_table(10), 10, tol=tol),
+}
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -1.0, True, "1e-10"), ids=repr)
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+def test_bad_tolerances_are_domain_errors(entry, value):
+    # before, NaN and -1.0 made toeplitz_eigencheck raise the exit-3
+    # InternalConsistencyError and the other two return a failing record
+    with pytest.raises(f.ParameterDomainError, match="must be a finite real >= 0"):
+        TOLERANCE_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+def test_valid_tolerances_are_accepted(entry):
+    fn = getattr(f, entry)
+    assert inspect.signature(fn).parameters["tol"].default == 1e-10
+    for tol in (0.0, 0, np.float64(1e-10), 1e-10):
+        chk = TOLERANCE_ENTRY_POINTS[entry](tol)
+        assert chk.tol == tol and type(chk.tol) is float
 
 
 def test_solve_accepts_integer_counts(capsys, tmp_path):

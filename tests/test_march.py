@@ -18,6 +18,7 @@ from fracbdf import (DenseSPDOperator, DistributedOrder, FractionalOperatorSpec,
                      SingleTerm, SubdiffusionProblem, TridiagonalLaplacian,
                      apply_history, correction_weights, discretize, scalar_problem,
                      stability_experiment, step_solve)
+from fracbdf.special import _standard_normal
 
 
 def reference_march(problem, k, N, corrected=True):
@@ -161,13 +162,11 @@ def test_zero_datum_gives_zero_trajectory(spatial, time, k, N, corrected):
 @pytest.mark.parametrize("spatial", SPATIAL)
 def test_batched_perturbations_match_single_solves(spatial, time, k):
     """The block march of stability_experiment against one step_solve per
-    perturbation, with the draws taken one perturbation at a time."""
+    perturbation, each from its row of the seed's draws."""
     problem, N, trials = _problem(spatial, time), 20, 4
     rec = stability_experiment(problem, k, N, perturbations=trials, seed=11)
     A, tau = problem.A, problem.T / N
-    rng = np.random.default_rng(11)
-    for b in range(trials):
-        eps0 = rng.standard_normal(A.dim)
+    for b, eps0 in enumerate(_standard_normal(11, (trials, A.dim))):
         res = step_solve(dataclasses.replace(problem, rho=eps0), k, N)
         norms = np.array([A.energy_norm(e) for e in res.u[1:]])
         e0 = A.energy_norm(eps0)

@@ -1,10 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
-from fracbdf import ParameterDomainError, exact_scalar_solution, mittag_leffler
+from fracbdf import (FractionalOperatorSpec, ParameterDomainError, SingleTerm,
+                     SubdiffusionProblem, TridiagonalLaplacian, exact_scalar_solution,
+                     mittag_leffler, stability_experiment)
 from fracbdf import special
-from fracbdf.special import _integral, _series, _series_profile
+from fracbdf.special import _integral, _series, _series_profile, _standard_normal
 
 
 def test_value_at_zero():
@@ -177,3 +181,43 @@ def test_unit_argument_stays_on_the_float_series():
     for alpha in (0.005, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         assert _series_profile(alpha, -1.0)[1] <= 0.06
         assert mittag_leffler(alpha, -1.0) == _series(alpha, -1.0, extended=False)
+
+
+# ---------------------------------------------------------------------------
+# seeded Gaussian draws
+# ---------------------------------------------------------------------------
+
+def test_standard_normal_is_box_muller_on_the_stdlib_stream():
+    # Python keeps the random() stream of a seeded generator fixed, so these
+    # values hold on every Python and numpy version (to the last bits of
+    # numpy's log1p and cos)
+    pinned = [-0.6800423637575032, -0.11920514067955516, 0.013173835974033737,
+              1.9274685737998292, -1.072851917775707, 0.8251126679217844]
+    assert _standard_normal(777, 6) == pytest.approx(pinned, rel=1e-14, abs=0.0)
+    draw = random.Random(777).random
+    by_hand = []
+    for _ in range(6):
+        u1, u2 = draw(), draw()
+        by_hand.append(math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2))
+    assert _standard_normal(777, 6) == pytest.approx(by_hand, rel=1e-14, abs=0.0)
+
+
+def test_standard_normal_shape_prefix_and_moments():
+    z = _standard_normal(3, (4, 5))
+    assert z.shape == (4, 5) and z.dtype == np.float64
+    assert np.array_equal(z.ravel(), _standard_normal(3, 20))
+    assert np.array_equal(z[:2].ravel(), _standard_normal(3, 10))    # draws are a prefix
+    n = 10 ** 5
+    z = _standard_normal(12345, n)
+    # 5 sigma: the sample mean has sd 1/sqrt(n), the sample variance sqrt(2/n)
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+
+
+def test_stability_experiment_records_follow_the_seed():
+    problem = SubdiffusionProblem(TridiagonalLaplacian(8), np.ones(8), 1.0,
+                                  FractionalOperatorSpec(SingleTerm(0.5)))
+    first = stability_experiment(problem, 3, 16, perturbations=3, seed=5)
+    assert stability_experiment(problem, 3, 16, perturbations=3, seed=5) == first
+    other = stability_experiment(problem, 3, 16, perturbations=3, seed=6)
+    assert other.ratios_sq != first.ratios_sq and other.ratios_lin != first.ratios_lin

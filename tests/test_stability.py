@@ -15,7 +15,7 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      toeplitz_eigencheck, trig_min)
 from fracbdf.multipliers import _RECIPROCAL_FACTORS
 from fracbdf.stability import (_BAND_MIN_CUBIC, _factored_angles, _residual_values,
-                               _sweep_angles, _symbol_extrema, _trig_candidates)
+                               _cheb2poly, _sweep_angles, _symbol_extrema, _trig_candidates)
 from references import mu_zeta_polynomial, q_boundary_values, toeplitz_band
 
 HALF_PI = math.pi / 2.0
@@ -422,3 +422,18 @@ def test_stability_report_roundtrip():
     assert payload["property_p"]["positivity_polynomial_min"] > 0.0
     assert payload["property_a"]["max_abs_arg"] <= HALF_PI + 1e-9
     assert float(ENERGY_CONSTANTS[6]) == pytest.approx(1.0 / 24.0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cheb2poly_bitwise_equals_numpy(n):
+    from numpy.polynomial.chebyshev import cheb2poly
+
+    rng = np.random.default_rng(n)
+    for trial in range(50):
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        if trial % 5 == 0:                      # trailing zeros are dropped
+            c[rng.integers(0, n):] = 0.0
+        ours, ref = _cheb2poly(c), cheb2poly(c)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+    assert _cheb2poly((0, 0, 0)).tobytes() == cheb2poly((0, 0, 0)).tobytes()
