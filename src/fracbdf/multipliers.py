@@ -6,25 +6,24 @@ fixed k-tuple (mu_1, ..., mu_k).  Writing
 
     mu(zeta) = 1 - mu_1 e^(-sigma*tau) zeta - ... - mu_k (e^(-sigma*tau) zeta)^k,
 
-the composite series  q(zeta) = g(zeta)/mu(zeta)  has coefficients
+a series x(zeta) divided by mu(zeta) has the coefficients of the recurrence
 
-    q_j = sum_{m=0}^{j} c_m g_{j-m},
+    y_m = x_m + sum_{j=1}^{min(m, k)} mu_j e^(-sigma*j*tau) y_(m-j),
 
-where c_m are the power-series coefficients of 1/mu(zeta) (tempering
-included).  The c_m are generated by formal power-series division, which
-works for any multiplier tuple.  mu also splits into linear factors,
+O(k) operations a term for any multiplier tuple.  On the unit impulse it
+gives the coefficients c_m of 1/mu(zeta); on the g-weights, the composite
+series q(zeta) = g(zeta)/mu(zeta).  mu also splits into linear factors,
 
     mu(zeta) = prod_i (1 - c_i e^(-sigma*tau) zeta)^(m_i),
 
 with c = 1/2 for k = 3, 4, c = 1/2 twice for k = 5 and c = 3/5, 1/2, 1/3
-for k = 6 (:data:`_RECIPROCAL_FACTORS`).  So 1/mu is also the product of
-the geometric series  sum_m (c_i e^(-sigma*tau))^m zeta^m.  That factor
-product serves as a built-in consistency check of the division; it also
-guards the factor table, which the argument sweep of
-:mod:`fracbdf.stability` reads.
+for k = 6 (:data:`_RECIPROCAL_FACTORS`), so the division is also a cascade
+of first-order ones, y_m = x_m + c_i e^(-sigma*tau) y_(m-1).  That factor
+cascade checks both c and q; it also guards the factor table, which the
+argument sweep of :mod:`fracbdf.stability` reads.
 
-Orders 1 and 2 are A-stable as they stand; their multiplier tuple is empty
-and 1/mu(zeta) == 1.
+Orders 1 and 2 are A-stable as they stand; their multiplier tuple is empty,
+1/mu(zeta) == 1 and q == g.
 """
 
 from __future__ import annotations
@@ -82,17 +81,40 @@ def _tempered_multipliers(k: int, damp: float) -> list[float]:
     return [float(m) * damp ** j for j, m in enumerate(_MULTIPLIERS[k], start=1)]
 
 
-def _factor_series(k: int, damp: float, J: int) -> np.ndarray:
-    """c_0..c_J of 1/mu as the product of its factors' geometric series:
-    one ``np.convolve`` with sum_m (c*damp)^m z^m per factor and
-    multiplicity, cut to J + 1 terms."""
-    powers = np.arange(J + 1)
-    out = np.zeros(J + 1)
-    out[0] = 1.0
+def _factor_cascade(x: np.ndarray, k: int, damp: float) -> np.ndarray:
+    """x/mu as a cascade of first-order divisions y_m = x_m + c*damp*y_(m-1),
+    one per factor of mu and multiplicity."""
+    y = x.tolist()
     for c, mult in _RECIPROCAL_FACTORS[k]:
+        r = float(c) * damp
         for _ in range(mult):
-            out = np.convolve(out, (float(c) * damp) ** powers)[:J + 1]
-    return out
+            for m in range(1, len(y)):
+                y[m] += r * y[m - 1]
+    return np.array(y)
+
+
+def _divide_by_mu(x: np.ndarray, k: int, damp: float) -> np.ndarray:
+    """x/mu by the recurrence y_m = x_m + sum_j mu_j damp^j y_(m-j), read-only.
+
+    Checked entry by entry against the factor cascade; disagreement beyond
+    1e-13 relative raises :class:`InternalConsistencyError`, since both sides
+    come from hard-coded tables that cannot legitimately drift apart."""
+    taps = list(enumerate(_tempered_multipliers(k, damp), start=1))
+    y = []
+    for m, acc in enumerate(x.tolist()):
+        for j, mw in taps[:m]:
+            acc += mw * y[m - j]
+        y.append(acc)
+    y = np.array(y)
+    ref = _factor_cascade(x, k, damp)
+    ok = np.abs(y - ref) <= _DIVISION_CHECK_RTOL * np.maximum(1.0, np.abs(ref))
+    if not ok.all():                    # a NaN fails too
+        m = int(np.argmin(ok))
+        raise InternalConsistencyError(
+            f"division by mu mismatch at k={k}, m={m}: "
+            f"recurrence {float(y[m])!r} vs factor cascade {float(ref[m])!r}")
+    y.setflags(write=False)
+    return y
 
 
 @dataclass(frozen=True)
@@ -105,36 +127,13 @@ class ReciprocalSeries:
 
 
 def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
-    """Expand 1/mu(zeta) to order J by formal power-series division.
-
-    The result is cross-checked entry by entry against the factor product
-    (:func:`_factor_series`); disagreement beyond 1e-13 relative raises
-    :class:`InternalConsistencyError`, since both sides come from
-    hard-coded tables (the multipliers and their factors) that cannot
-    legitimately drift apart.
-    """
+    """Expand 1/mu(zeta) to order J: the division of the unit impulse by mu,
+    checked against the factor cascade (:func:`_divide_by_mu`)."""
     check_order(k)
     J = check_count(J, "J", 0)
-    damp = params.damping
-    mu_w = _tempered_multipliers(k, damp)
-    c = [1.0]
-    for m in range(1, J + 1):
-        acc = 0.0
-        for j, mw in enumerate(mu_w, start=1):
-            if j > m:
-                break
-            acc += mw * c[m - j]
-        c.append(acc)
-    c = np.array(c)
-    ref = _factor_series(k, damp, J)
-    ok = np.abs(c - ref) <= _DIVISION_CHECK_RTOL * np.maximum(1.0, np.abs(ref))
-    if not ok.all():                    # a NaN fails too
-        m = int(np.argmin(ok))
-        raise InternalConsistencyError(
-            f"reciprocal series mismatch at k={k}, m={m}: "
-            f"division {float(c[m])!r} vs factor product {float(ref[m])!r}")
-    c.setflags(write=False)
-    return ReciprocalSeries(k=k, params=params, c=c)
+    impulse = np.zeros(J + 1)
+    impulse[0] = 1.0
+    return ReciprocalSeries(k=k, params=params, c=_divide_by_mu(impulse, k, params.damping))
 
 
 @dataclass(frozen=True)
@@ -151,14 +150,14 @@ class QTable:
 
 
 def q_coefficients(table: CoefficientTable, mults: MultiplierSet, J: int) -> QTable:
-    """Convolve the tempered reciprocal series with the g-weights."""
+    """Divide the g-weights by the tempered mu, checked against the factor
+    cascade (:func:`_divide_by_mu`)."""
+    J = check_count(J, "J", 0)
     if mults.k != table.k:
         raise ParameterDomainError(
             f"order mismatch: table has k={table.k}, multipliers have k={mults.k}")
     if table.J < J:
         raise ParameterDomainError(
             f"coefficient table covers j <= {table.J}, need j <= {J}")
-    c = reciprocal_series(table.k, table.params, J).c
-    q = np.convolve(c, table.g[:J + 1])[:J + 1]
-    q.setflags(write=False)
+    q = _divide_by_mu(table.g[:J + 1], table.k, table.params.damping)
     return QTable(k=table.k, params=table.params, q=q)

@@ -92,7 +92,7 @@ _EXPECTED_CORRECTIONS = {
 
 def check_table_exactness() -> CheckResult:
     """Multiplier and correction tables as exact rationals; power-series
-    division vs the factor product of 1/mu at 1e-13 up to m = 512."""
+    division vs the factor cascade of 1/mu at 1e-13 up to m = 512."""
     t0 = time.perf_counter()
     failures = []
     for k in range(1, 7):
@@ -103,7 +103,7 @@ def check_table_exactness() -> CheckResult:
     for k in (3, 4, 5, 6):
         for sigma in (0.0, 0.5):
             try:
-                # raises InternalConsistencyError on a factor-product mismatch
+                # raises InternalConsistencyError on a factor-cascade mismatch
                 reciprocal_series(k, FracParams(alpha=0.5, sigma=sigma, tau=1.0), 512)
             except Exception as exc:          # record, do not abort the battery
                 failures.append(f"reciprocal k={k} sigma={sigma}: {exc}")

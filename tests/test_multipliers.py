@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (FracParams, InternalConsistencyError, ParameterDomainError,
                      bdf_g_coefficients, multiplier_set, q_coefficients, reciprocal_series)
-from fracbdf.multipliers import _MULTIPLIERS, _RECIPROCAL_FACTORS, _factor_series
+from fracbdf.multipliers import _MULTIPLIERS, _RECIPROCAL_FACTORS, _factor_cascade
 from references import mu_roots, mu_zeta_polynomial
 
 
@@ -75,10 +75,13 @@ def test_q_reconvolution_recovers_g(k, alpha):
 
 
 def test_q_trivial_for_k1():
-    params = FracParams(alpha=0.5)
-    table = bdf_g_coefficients(1, params, 32)
-    q = q_coefficients(table, multiplier_set(1), 32).q
-    assert np.array_equal(q, table.g)
+    # mu is empty for k = 1, 2: q is g itself, bit for bit, and read-only
+    params = FracParams(alpha=0.5, sigma=0.3, tau=1.0)
+    for k in (1, 2):
+        table = bdf_g_coefficients(k, params, 32)
+        q = q_coefficients(table, multiplier_set(k), 32).q
+        assert q.tobytes() == table.g.tobytes()
+        assert not q.flags.writeable
 
 
 def test_q_order_mismatch_rejected():
@@ -119,29 +122,43 @@ def _closed_form_floats(k, J):
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
 @pytest.mark.parametrize("st", (0.0, 0.5))
 def test_factor_product_matches_closed_forms(k, st):
-    # the float product of the factors' geometric series, the reference of
-    # the division check, against the exact closed forms, tempered
+    # the factor cascade on the unit impulse, the reference of the division
+    # check, against the exact closed forms, tempered
     J = 4000
     damp = FracParams(alpha=0.5, sigma=st, tau=1.0).damping
     ref = _closed_form_floats(k, J) * damp ** np.arange(J + 1)
-    err = np.abs(_factor_series(k, damp, J) - ref)
+    impulse = np.zeros(J + 1)
+    impulse[0] = 1.0
+    err = np.abs(_factor_cascade(impulse, k, damp) - ref)
     assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
 
 
+def _k6_divisions():
+    """Both routes through the division check at k = 6: 1/mu and q = g/mu."""
+    params = FracParams(alpha=0.5)
+    table = bdf_g_coefficients(6, params, 64)
+    return (lambda: reciprocal_series(6, params, 64),
+            lambda: q_coefficients(table, multiplier_set(6), 64))
+
+
 def test_multiplier_slip_raises(monkeypatch):
+    divisions = _k6_divisions()
     monkeypatch.setitem(_MULTIPLIERS, 6, (Fraction(43, 30), Fraction(-2, 3), Fraction(1, 11)))
-    with pytest.raises(InternalConsistencyError, match="k=6, m=3") as info:
-        reciprocal_series(6, FracParams(alpha=0.5), 64)
-    assert "np.float64" not in str(info.value)
+    for divide in divisions:
+        with pytest.raises(InternalConsistencyError, match="k=6, m=3") as info:
+            divide()
+        assert "np.float64" not in str(info.value)
 
 
 def test_factor_slip_raises(monkeypatch):
     # the factor table feeds the argument sweep too; the division check
     # guards it as well
+    divisions = _k6_divisions()
     monkeypatch.setitem(_RECIPROCAL_FACTORS, 6,
                         ((Fraction(3, 5), 1), (Fraction(1, 2), 1), (Fraction(1, 4), 1)))
-    with pytest.raises(InternalConsistencyError, match="k=6, m=1"):
-        reciprocal_series(6, FracParams(alpha=0.5), 64)
+    for divide in divisions:
+        with pytest.raises(InternalConsistencyError, match="k=6, m=1"):
+            divide()
 
 
 def _reference_reciprocal(k, damp, J):
@@ -167,3 +184,34 @@ def test_reciprocal_series_bitwise_equals_reference_loop(k, st):
         c = reciprocal_series(k, params, J).c
         assert c.tobytes() == _reference_reciprocal(k, params.damping, J).tobytes()
         assert not c.flags.writeable
+
+
+@pytest.mark.parametrize("J", ("3", None, 2.5, True, -1))
+def test_q_bad_count_is_a_domain_error(J):
+    table = bdf_g_coefficients(3, FracParams(alpha=0.5), 8)
+    with pytest.raises(ParameterDomainError, match="J must be an integer"):
+        q_coefficients(table, multiplier_set(3), J)
+
+
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+@pytest.mark.parametrize("st", (0.0, 0.5))
+def test_q_matches_40_digit_division(k, st):
+    # the same recurrence in 40-digit arithmetic on the same float g and
+    # damping: the float division loses at most a few units of max|q|
+    import mpmath
+    J = 1000
+    params = FracParams(alpha=0.63, sigma=st, tau=1.0)
+    table = bdf_g_coefficients(k, params, J)
+    q = q_coefficients(table, multiplier_set(k), J).q
+    with mpmath.workdps(40):
+        damp = mpmath.mpf(params.damping)
+        mu_w = [mpmath.mpf(m.numerator) / m.denominator * damp ** j
+                for j, m in enumerate(multiplier_set(k).mu, start=1)]
+        ref = []
+        for m, acc in enumerate(table.g.tolist()):
+            acc = mpmath.mpf(acc)
+            for j, mw in enumerate(mu_w[:m], start=1):
+                acc += mw * ref[m - j]
+            ref.append(acc)
+        err = max(abs(float(a - b)) for a, b in zip(q.tolist(), ref))
+    assert err <= 4 * np.finfo(float).eps * np.abs(q).max()
