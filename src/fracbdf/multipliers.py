@@ -151,11 +151,17 @@ class QTable:
 
 def q_coefficients(table: CoefficientTable, mults: MultiplierSet, J: int) -> QTable:
     """Divide the g-weights by the tempered mu, checked against the factor
-    cascade (:func:`_divide_by_mu`)."""
+    cascade (:func:`_divide_by_mu`).  The factors exist only for the tabulated
+    tuples, so ``mults`` must be ``multiplier_set(table.k)``: any other tuple
+    raises ParameterDomainError."""
     J = check_count(J, "J", 0)
     if mults.k != table.k:
         raise ParameterDomainError(
             f"order mismatch: table has k={table.k}, multipliers have k={mults.k}")
+    if tuple(mults.mu) != _MULTIPLIERS[mults.k]:
+        raise ParameterDomainError(
+            f"q is tabulated only for the multipliers of multiplier_set({mults.k}), "
+            f"got mu={tuple(str(m) for m in mults.mu)}")
     if table.J < J:
         raise ParameterDomainError(
             f"coefficient table covers j <= {table.J}, need j <= {J}")

@@ -60,7 +60,9 @@ The right-hand sides and w^ live in C-ordered (dim, trials, N+1) arrays,
 whose rows are contiguous in time: the matrix product forms them as
 G^T (d^ B), each row operation of the block solve runs over whole rows,
 and the residual transforms run along the rows.  Callers see the
-transposed (N+1, trials, dim) views.
+transposed (N+1, trials, dim) views.  :func:`step_solve` adds the initial
+layer e^(-sigma*n*tau) rho to w in that same buffer, so a solve holds one
+trajectory; its result keeps u alone and derives w from it on access.
 Scaling row n by e^(sigma*n*tau) leaves its relative residual unchanged,
 so these are the residuals of the tempered system too.  The basis does
 not depend on rho, so the same kernel marches a (trials x dim) block of
@@ -86,7 +88,8 @@ error is within 2x that of LAPACK ``dpttrs`` (tests/test_spatial_numpy.py).
 The march runs on numpy alone and loads no scipy module.  All operators
 expose the energy norm |A^(1/2) v|, which the stability experiments use,
 and ``shifted_solver`` for one step's system (S_0 I + A) x = b, whose solve
-takes numpy's ``out=``: the march solves in its right-hand-side buffer.
+takes numpy's ``out=``: the march solves in its right-hand-side buffer, and
+the Laplacian's pieces sweep in it, all but a padded last one in place.
 """
 
 from __future__ import annotations
@@ -233,8 +236,9 @@ class TridiagonalLaplacian:
         of m = ceil(size / P) rows; padding rows that continue the stencil
         fill the last piece.  Every piece is then the same matrix, with one
         LDL^T (dpttrf's recurrence, in Python floats), and the pieces are
-        solved in lockstep: each row operation covers every piece and every
-        column.  With one piece this is dpttrs.  Otherwise the couplings
+        solved in lockstep: each row operation covers every whole piece and
+        every column, and a padded last piece is swept after them.  With one
+        piece this is dpttrs.  Otherwise the couplings
         across the cuts between pieces, and the one that the padding adds,
         are moved to the right-hand side, as in the partition (SPIKE) method
         of Polizzi and Sameh (Parallel Computing 32, 2006).  The values at
@@ -244,9 +248,10 @@ class TridiagonalLaplacian:
 
         The returned ``solve(rhs, out=None)`` writes x into ``out`` if it is
         given (a C-contiguous float64 array of rhs's shape, rhs itself
-        included).  With one piece the sweeps run in place in it, viewed as
-        (m, 1, cols); with several they run in an (m, P, cols) buffer that
-        is copied into it, viewed as (P, m, cols), at the end.
+        included).  With F, r = divmod(size, m), the F whole pieces are swept
+        in place in it, viewed as (m, F, cols); only a padded last piece
+        (r > 0) lives in an (m, 1, cols) buffer, whose r real rows are copied
+        into it at the end.
         """
         n, main, off = self.size, self._main + shift, self._off
         if not shift + self.eigenvalues()[0] > 0.0:
@@ -254,12 +259,13 @@ class TridiagonalLaplacian:
                                         f"(shift {shift!r})")
         P = min(max(1, n // 64), 32)
         m = -(-n // P)
+        F, r = divmod(n, m)                     # F whole pieces, r rows in a padded one
         d, l = [main], []
         for _ in range(m - 1):
             l.append(off / d[-1])
             d.append(main - l[-1] * off)
 
-        def pieces(X):                          # X (m, P, cols), in place
+        def pieces(X):                          # X (m, pieces, cols), in place
             tmp = np.empty_like(X[0])
             for i in range(1, m):
                 np.subtract(X[i], np.multiply(X[i - 1], l[i - 1], out=tmp), out=X[i])
@@ -267,11 +273,10 @@ class TridiagonalLaplacian:
             for i in range(m - 2, -1, -1):
                 X[i] /= d[i]
                 np.subtract(X[i], np.multiply(X[i + 1], l[i], out=tmp), out=X[i])
-            return X
 
         # cut c couples rows c - 1 and c by o: the true coupling between
         # pieces, and minus it where the padding starts
-        cuts = [(c, off) for c in range(m, P * m, m)] + [(n, -off)] * (n < P * m)
+        cuts = [(c, off) for c in range(m, P * m, m)] + [(n, -off)] * (r > 0)
         if cuts:
             c, o = np.array(cuts).T
             at = np.stack((c - 1, c), axis=1).ravel().astype(int)      # rows next to the cuts
@@ -284,6 +289,7 @@ class TridiagonalLaplacian:
             locs = sorted(set(at % m))
             G = G[locs]
             rows = (at // m, [locs.index(q) for q in at % m])
+            whole = enter < F * m               # x_at entering the whole pieces
 
         def solve(rhs, out=None):
             rhs = np.asarray(rhs, dtype=float)
@@ -292,22 +298,24 @@ class TridiagonalLaplacian:
             elif not (out.shape == rhs.shape and out.dtype == float and out.flags.c_contiguous):
                 raise ValueError("out must be a C-contiguous float64 array of rhs's shape")
             b, x = rhs.reshape(n, -1), out.reshape(n, -1)       # x is a view
-            cols = b.shape[1]
-            if P == 1:                          # in place, in out
-                if out is not rhs:
-                    x[...] = b
-                pieces(x.reshape(m, 1, cols))
-                return out
-            X = np.zeros((m, P, cols))
-            Xp = X.transpose(1, 0, 2)           # (piece, row, column) view
-            Xp[:-1] = b[:(P - 1) * m].reshape(P - 1, m, cols)
-            Xp[-1, :n - (P - 1) * m] = b[(P - 1) * m:]
+            if out is not rhs:
+                x[...] = b
+            cols = x.shape[1]
+            groups = [x[:F * m].reshape(F, m, cols).transpose(1, 0, 2)]
+            if r:                               # the padded last piece
+                pad = np.zeros((m, cols))
+                pad[:r] = x[F * m:]
+                groups.append(pad[:, None])
             if cuts:
-                x_at = np.linalg.solve(Z, (G @ Xp)[rows])
-                X[enter % m, enter // m] -= o * x_at
-            pieces(X)
-            x[:(P - 1) * m].reshape(P - 1, m, cols)[...] = Xp[:-1]
-            x[(P - 1) * m:] = Xp[-1, :n - (P - 1) * m]
+                Gb = np.concatenate([G @ X.transpose(1, 0, 2) for X in groups])
+                corr = o * np.linalg.solve(Z, Gb[rows])
+                x[enter[whole]] -= corr[whole]
+                if r:
+                    pad[enter[~whole] - F * m] -= corr[~whole]
+            for X in groups:
+                pieces(X)
+            if r:
+                x[F * m:] = pad[:r]
             return out
         return solve
 
@@ -415,11 +423,12 @@ def scalar_problem(lam: float, alpha: float, sigma: float = 0.0,
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Trajectory and per-step linear-solve residuals of one march."""
+    """Trajectory and per-step linear-solve residuals of one march.
+
+    It holds one trajectory, u; ``w`` is computed from it on access."""
 
     times: np.ndarray
     u: np.ndarray              # (N+1, dim); row 0 is rho
-    w: np.ndarray              # u minus the decaying initial layer
     residuals: np.ndarray      # relative residual per step (0 at n = 0)
     k: int
     tau: float
@@ -433,6 +442,15 @@ class SolveResult:
     @property
     def terminal(self) -> np.ndarray:
         return self.u[-1]
+
+    @property
+    def w(self) -> np.ndarray:
+        """u minus the decaying initial layer, e^(-sigma*t_n) rho, as a new
+        read-only array of u's shape."""
+        decay = np.exp(-self.sigma * self.tau * np.arange(self.N + 1))
+        w = self.u - decay[:, None] * self.u[0]
+        w.setflags(write=False)
+        return w
 
 
 #: Element budget of one block: rows x FFT length per transform call, rows x
@@ -455,13 +473,16 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
     solve (module docstring), then evaluates every step's residual.
     """
     tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected)
-    w, residuals = w[:, 0], residuals[:, 0]
-    u = decay[:, None] * problem.rho
-    u += w
+    residuals = residuals[:, 0]
+    u = w[:, 0].T                       # (dim, N+1), contiguous in time
+    rows = max(1, _BLOCK // (N + 1))
+    for c in range(0, len(u), rows):    # u = w + decay rho, in place
+        u[c:c + rows] += decay * problem.rho[c:c + rows, None]
+    u = u.T
     times = tau * np.arange(N + 1)
-    for arr in (times, u, w, residuals):
+    for arr in (times, u, residuals):
         arr.setflags(write=False)
-    return SolveResult(times=times, u=u, w=w, residuals=residuals, k=k,
+    return SolveResult(times=times, u=u, residuals=residuals, k=k,
                        tau=tau, corrected=corrected, sigma=problem.sigma)
 
 

@@ -49,6 +49,7 @@ too: Box-Muller in numpy on the stdlib ``random`` stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -330,5 +331,6 @@ def _standard_normal(seed: int, shape) -> np.ndarray:
     those of any larger size."""
     n = int(np.prod(shape))
     draw = random.Random(seed).random
-    u1, u2 = np.fromiter((draw() for _ in range(2 * n)), float, 2 * n).reshape(n, 2).T
+    u = np.fromiter(itertools.starmap(draw, itertools.repeat((), 2 * n)), float, 2 * n)
+    u1, u2 = u.reshape(n, 2).T
     return (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)).reshape(shape)

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (FracParams, InternalConsistencyError, ParameterDomainError,
                      bdf_g_coefficients, multiplier_set, q_coefficients, reciprocal_series)
-from fracbdf.multipliers import _MULTIPLIERS, _RECIPROCAL_FACTORS, _factor_cascade
+from fracbdf.multipliers import (_MULTIPLIERS, _RECIPROCAL_FACTORS, MultiplierSet,
+                                 _factor_cascade)
 from references import mu_roots, mu_zeta_polynomial
 
 
@@ -89,6 +90,9 @@ def test_q_order_mismatch_rejected():
     table = bdf_g_coefficients(3, params, 8)
     with pytest.raises(ParameterDomainError):
         q_coefficients(table, multiplier_set(4), 8)
+    # a tuple other than the tabulated one has no factors to check against
+    with pytest.raises(ParameterDomainError, match=r"multiplier_set\(3\)"):
+        q_coefficients(table, MultiplierSet(k=3, mu=(Fraction(1, 4),)), 8)
 
 
 def test_q_length_mismatch_rejected():

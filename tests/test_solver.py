@@ -117,6 +117,16 @@ def test_w_u_consistency_and_residuals():
     decay = np.exp(-0.7 * res.times)
     assert np.max(np.abs(res.u[:, 0] - decay - res.w[:, 0])) <= 1e-13
     assert np.max(res.residuals) <= 1e-12
+    # w is derived from u on access: not a field, and read-only
+    assert "w" not in {f.name for f in dataclasses.fields(res)}
+    assert not res.w.flags.writeable
+    with pytest.raises(AttributeError):
+        res.w = res.u
+    rho = np.linspace(1.0, 2.0, 6)
+    spec = FractionalOperatorSpec(SingleTerm(0.4), 0.7)
+    res = step_solve(SubdiffusionProblem(TridiagonalLaplacian(6), rho, 1.0, spec), 3, 32)
+    assert np.array_equal(res.u[0], rho)
+    assert np.max(np.abs(res.u - np.outer(np.exp(-0.7 * res.times), rho) - res.w)) <= 1e-13
 
 
 def test_direct_form_equivalence():
