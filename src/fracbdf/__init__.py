@@ -19,6 +19,6 @@ from .stability import (ArgumentSweep, ENERGY_CONSTANTS, ExtremaReport,
                         TrigPolynomial, argument_sweep, composite_angle,
                         lower_bound_extrema, multiplier_energy_check,
                         positivity_generating_function, quadrature_positivity_check,
-                        stability_report, toeplitz_eigencheck, trig_min)
+                        toeplitz_eigencheck, trig_min)
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,7 +24,8 @@ from .errors import InternalConsistencyError, ParameterDomainError
 from .multipliers import multiplier_set, q_coefficients, reciprocal_series
 from .solver import (GROWTH_FACTOR, convergence_harness, problem_from_dict,
                      stability_refinement, step_solve)
-from .stability import argument_sweep, stability_report, toeplitz_eigencheck
+from .stability import (ENERGY_CONSTANTS, argument_sweep, positivity_generating_function,
+                        toeplitz_eigencheck, trig_min)
 
 _CSV_SCHEMA = "fracbdf-csv-v1"
 _JSON_SCHEMA = "fracbdf-report-v1"
@@ -123,26 +125,53 @@ def cmd_multipliers(args) -> int:
     return 0
 
 
+_STABILITY_SCHEMA = "fracbdf-stability-report-v1"
+_STABILITY_TOLERANCES = {"argument": 1e-9, "eigen_sandwich": 1e-10, "f_min_floor": 1e-12}
+
+
+def _property_p(k: int, sigma: float, tau: float, sizes) -> dict:
+    """Positivity side: the minimum of the band symbol and the eigenvalue
+    sandwich at each N in ``sizes`` (a violation raises, exit 3).  It
+    depends on (k, sigma, tau) only."""
+    x_min, f_min = trig_min(positivity_generating_function(k, sigma, tau))
+    ck = float(ENERGY_CONSTANTS[k])
+    checks = [toeplitz_eigencheck(k, sigma, tau, N) for N in sizes]
+    pd_ok = k != 6 or all(chk.positive_definite for chk in checks)
+    passed = f_min >= -_STABILITY_TOLERANCES["f_min_floor"] and ck + f_min > 0.0 and pd_ok
+    return {"f_min": f_min, "x_min": x_min, "positivity_polynomial_min": ck + f_min,
+            "energy_constant": ck,
+            "toeplitz": [{"N": chk.N, "lambda_min": chk.lambda_min,
+                          "lambda_max": chk.lambda_max, "f_min": chk.f_min,
+                          "f_max": chk.f_max} for chk in checks],
+            "verdict": bool(passed)}
+
+
 def cmd_check_positivity(args) -> int:
-    payload = stability_report(args.k, alpha=args.alpha, sigma=args.sigma,
-                               tau=args.tau, matrix_sizes=tuple(args.N))
-    passed = payload["property_p"]["verdict"]
-    payload["kind"] = "check-positivity"
-    del payload["property_a"]
-    payload["verdict"] = "PASS" if passed else "FAIL"
-    _write_json(args.out, payload)
-    return 0 if passed else 1
+    prop = _property_p(args.k, args.sigma, args.tau, args.N)
+    _write_json(args.out, {
+        "schema": _STABILITY_SCHEMA, "k": args.k, "sigma": args.sigma, "tau": args.tau,
+        "property_p": prop, "tolerances": _STABILITY_TOLERANCES,
+        "verdict": "PASS" if prop["verdict"] else "FAIL", "kind": "check-positivity"})
+    return 0 if prop["verdict"] else 1
 
 
 def cmd_check_astability(args) -> int:
-    payload = stability_report(args.k, alpha=args.alpha, sigma=args.sigma,
-                               tau=args.tau, grid_size=args.grid, matrix_sizes=())
-    passed = payload["property_a"]["verdict"]
-    payload["kind"] = "check-astability"
-    payload["verdict"] = "PASS" if passed else "FAIL"
-    _write_json(args.out, payload)
+    prop = _property_p(args.k, args.sigma, args.tau, ())
+    sweep = argument_sweep(args.k, args.alpha, args.sigma, args.tau, args.grid)
+    passed = sweep.max_abs_arg <= math.pi / 2.0 + _STABILITY_TOLERANCES["argument"]
+    _write_json(args.out, {
+        "schema": _STABILITY_SCHEMA, "k": args.k, "alpha": args.alpha,
+        "sigma": args.sigma, "tau": args.tau, "property_p": prop,
+        "property_a": {
+            "max_abs_arg": sweep.max_abs_arg,
+            "max_arg": sweep.max_arg, "min_arg": sweep.min_arg,
+            "extremum_x": float(sweep.grid[np.argmax(np.abs(sweep.arg_values))]),
+            "limit_at_zero": sweep.limit_at_zero,
+            "half_pi": math.pi / 2.0,
+            "verdict": bool(passed)},
+        "tolerances": _STABILITY_TOLERANCES,
+        "verdict": "PASS" if passed else "FAIL", "kind": "check-astability"})
     if args.csv_out is not None:
-        sweep = argument_sweep(args.k, args.alpha, args.sigma, args.tau, args.grid)
         rows = zip(sweep.grid, sweep.arg_values, sweep.theta1, sweep.theta2,
                    sum(sweep.reciprocal_angles))
         _write_csv(args.csv_out,
@@ -290,11 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-positivity",
                        help="positivity report: band minima and eigenvalue sandwich")
     p.add_argument("--k", type=int, required=True)
-    _add_common_frac(p, alpha_required=False)
+    p.add_argument("--sigma", type=float, default=0.0, help="tempering rate >= 0")
+    p.add_argument("--tau", type=float, default=1.0, help="step size > 0")
     p.add_argument("--N", type=_int_list, default=[10, 50, 200, 400],
                    help="comma-separated matrix dimensions")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_check_positivity, alpha=0.5)
+    p.set_defaults(func=cmd_check_positivity)
 
     p = sub.add_parser("check-astability",
                        help="argument sweep report for q on the unit circle")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,16 +82,23 @@ class FracParams:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Quadrature weights l_0..l_J and their tempered counterparts g_j."""
+    """Quadrature weights l_0..l_J; their tempered g_j are derived on access."""
 
     k: int
     params: FracParams
     l: np.ndarray
-    g: np.ndarray
 
     @property
     def J(self) -> int:
         return len(self.l) - 1
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        """g_j = e^(-sigma*j*tau) * l_j, j = 0..J (read-only); at sigma = 0
+        the factors are all 1.0, so g equals l bitwise."""
+        g = self.l * self.params.damping ** np.arange(len(self.l))
+        g.setflags(write=False)
+        return g
 
 
 def bdf_polynomial(k: int) -> list[Fraction]:
@@ -131,23 +139,33 @@ def _residual_power(k: int, alpha: float) -> np.ndarray:
     return h
 
 
-def _power_series(c: tuple[float, ...], alpha: float, n: int) -> np.ndarray:
-    """First n coefficients of (sum_m c_m z^m)^alpha by the power-of-a-series
-    (J.C.P. Miller) recurrence
+def _miller(c, a0, up, ad, n: int, div) -> list:
+    """First n coefficients a_0..a_(n-1) of (sum_m c_m z^m)^alpha by the
+    power-of-a-series (J.C.P. Miller) recurrence, with alpha + 1 = up/ad:
 
-        j*c_0*a_j = sum_{m=1}^{min(j,deg)} ((alpha+1)*m - j) * c_m * a_{j-m},
+        j*ad*c_0*a_j = sum_{m=1}^{min(j,deg)} (up*m - ad*j) * c_m * a_{j-m},
 
-    seeded only by a_0 = c_0^alpha, each sum accumulated left to right in
-    Python floats.
+    seeded only by a_0, each sum accumulated left to right and then passed
+    to ``div`` with j*ad*c_0.  Floats take ad = 1 and ``/``; the fixed-point
+    twin (:func:`fracbdf.highprec.scalar_weights_mp`) takes integers and
+    ``//``.
     """
-    out = [c[0] ** alpha]
-    ap1 = alpha + 1.0
+    out = [a0]
+    deg = len(c) - 1
+    full = range(1, deg + 1)             # m = 1..min(j, deg) once j >= deg
     for j in range(1, n):
-        acc = 0.0
-        for m in range(1, min(j, len(c) - 1) + 1):
-            acc += c[m] * (ap1 * m - j) * out[j - m]
-        out.append(acc / (j * c[0]))
-    return np.array(out)
+        dj = ad * j
+        acc = 0
+        for m in full if j > deg else range(1, j + 1):
+            acc += c[m] * (up * m - dj) * out[j - m]
+        out.append(div(acc, dj * c[0]))
+    return out
+
+
+def _power_series(c: tuple[float, ...], alpha: float, n: int) -> np.ndarray:
+    """First n coefficients of (sum_m c_m z^m)^alpha in Python floats,
+    seeded by c_0^alpha (:func:`_miller`)."""
+    return np.array(_miller(c, c[0] ** alpha, alpha + 1.0, 1, n, operator.truediv))
 
 
 def bdf_l_coefficients(k: int, alpha: float, J: int) -> np.ndarray:
@@ -187,12 +205,7 @@ def series_oracle(k: int, alpha: float, J: int) -> np.ndarray:
 
 
 def bdf_g_coefficients(k: int, params: FracParams, J: int) -> CoefficientTable:
-    """Build the tempered table g_j = e^(-sigma*j*tau) * l_j."""
+    """Build the table of weights l_0..l_J; its g_j are formed when first read."""
     l = bdf_l_coefficients(k, params.alpha, J)
-    if params.sigma == 0.0:
-        g = l.copy()
-    else:
-        g = l * params.damping ** np.arange(J + 1)
     l.setflags(write=False)
-    g.setflags(write=False)
-    return CoefficientTable(k=check_order(k), params=params, l=l, g=g)
+    return CoefficientTable(k=check_order(k), params=params, l=l)

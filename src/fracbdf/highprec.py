@@ -48,11 +48,12 @@ single-term problem is provided here; production solves stay in float64.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .coefficients import bdf_polynomial, check_alpha, check_order
+from .coefficients import _miller, bdf_polynomial, check_alpha, check_order
 from .errors import check_count
 from .solver import correction_weights, scalar_problem
 from .special import mittag_leffler_mp
@@ -76,11 +77,12 @@ def _to_fixed(x, P: int) -> int:
 
 def scalar_weights_mp(k: int, alpha, J: int, bits: int) -> list:
     """Fixed-point weights floor(l_j 2^bits), j = 0..J, of p(z)^alpha, from
-    the recurrence
+    the power recurrence of the float weights (:func:`~fracbdf.coefficients._miller`)
 
         j c_0 l_j = sum_{m=1}^{min(j,k)} c_m ((alpha + 1) m - j) l_{j-m}
 
-    on the integers c_m = p_m * lcm(denominators), with l_0 = p_0^alpha.
+    in integers: c_m = p_m * lcm(denominators), alpha + 1 = up/ad exactly,
+    l_0 = p_0^alpha, and each quotient rounded toward -infinity.
     """
     check_order(k)
     check_alpha(alpha)
@@ -90,11 +92,8 @@ def scalar_weights_mp(k: int, alpha, J: int, bits: int) -> list:
     a = Fraction(alpha)                # exact: a float is a dyadic rational
     up, ad = a.numerator + a.denominator, a.denominator
     with mp.workprec(bits + _GUARD):
-        l = [_to_fixed((mpf(p[0].numerator) / p[0].denominator) ** mpf(alpha), bits)]
-    for j in range(1, J + 1):
-        acc = sum(c[m] * (up * m - ad * j) * l[j - m] for m in range(1, min(j, k) + 1))
-        l.append(acc // (j * ad * c[0]))
-    return l
+        l0 = _to_fixed((mpf(p[0].numerator) / p[0].denominator) ** mpf(alpha), bits)
+    return _miller(c, l0, up, ad, J + 1, operator.floordiv)
 
 
 def _biases(n: int, B: int) -> int:

@@ -12,7 +12,9 @@ tempering rate sigma and one step size tau.  Their sum is one convolution
 with the combined weights  S_j = sum_i (b_i / tau^alpha_i) g_j^(i), exposed
 as ``weights``.  Since g_j = e^(-sigma*j*tau) l_j for every table,
 S_j = e^(-sigma*j*tau) S^_j with the untempered weights S^ built from the
-l_j, exposed as ``untempered_weights``.  The j = 0 term multiplies the
+l_j, exposed as ``untempered_weights``.  A table holds only the l_j and
+forms its g_j when first read, so the time march, which reads only
+``untempered_weights``, builds no g at all.  The j = 0 term multiplies the
 unknown w^n and is exposed as ``zero_weight`` for the implicit solve; the
 lagged part is evaluated by :func:`apply_history`.
 """

@@ -446,15 +446,15 @@ def _factored_angles(k: int, x: np.ndarray, damp: float):
     return theta1, theta2, recip
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=1)
 def _sweep_angles(k: int, damp: float, grid_size: int):
     """Grid x of :func:`argument_sweep` and its factored angles at
     z = damp * e^(ix), as read-only arrays (x, theta1, theta2, recip).
 
     None of them depends on alpha, so one evaluation serves every alpha
-    at the same (k, sigma*tau, grid_size).  The bound of three entries
-    covers the three sigma*tau values that the argument-sweep check cycles
-    through for each k; each entry holds at most six grid-sized arrays.
+    at the same (k, sigma*tau, grid_size).  One entry, at most six
+    grid-sized arrays, is kept: the argument-sweep check runs all its
+    alphas at one (k, sigma*tau) before moving on.
     """
     x = np.linspace(math.pi / grid_size, math.pi, grid_size)
     theta1, theta2, recip = _factored_angles(k, x, damp)
@@ -699,52 +699,3 @@ def lower_bound_extrema(k: int) -> ExtremaReport:
     gpi = float(composite_angle(k, math.pi)[0])
     return ExtremaReport(k=k, records=tuple(records),
                          angle_at_zero=g0, angle_at_pi=gpi)
-
-
-# ---------------------------------------------------------------------------
-# Combined report
-# ---------------------------------------------------------------------------
-
-def stability_report(k: int, alpha: float, sigma: float = 0.0, tau: float = 1.0,
-                     grid_size: int = 8192,
-                     matrix_sizes: tuple[int, ...] = (10, 50, 200, 400)) -> dict:
-    """Run the positivity and A-stability checks for one parameter set and
-    return the verdicts and key numbers of both as a JSON-ready dict."""
-    x_min, f_min = trig_min(positivity_generating_function(k, sigma, tau))
-    ck = float(ENERGY_CONSTANTS[k])
-    toeplitz = []
-    pd_ok = True
-    for N in matrix_sizes:
-        chk = toeplitz_eigencheck(k, sigma, tau, N)     # raises unless sandwiched
-        if k == 6:
-            pd_ok &= chk.positive_definite
-        toeplitz.append({"N": N, "lambda_min": chk.lambda_min,
-                         "lambda_max": chk.lambda_max,
-                         "f_min": chk.f_min, "f_max": chk.f_max})
-    p_verdict = (f_min >= -1e-12) and (ck + f_min > 0.0) and pd_ok
-    property_p = {
-        "f_min": f_min, "x_min": x_min,
-        "positivity_polynomial_min": ck + f_min,
-        "energy_constant": ck,
-        "toeplitz": toeplitz,
-        "verdict": bool(p_verdict),
-    }
-    sweep = argument_sweep(k, alpha, sigma, tau, grid_size)
-    i_ext = int(np.argmax(np.abs(sweep.arg_values)))
-    a_verdict = sweep.max_abs_arg <= math.pi / 2.0 + 1e-9
-    property_a = {
-        "max_abs_arg": sweep.max_abs_arg,
-        "max_arg": sweep.max_arg, "min_arg": sweep.min_arg,
-        "extremum_x": float(sweep.grid[i_ext]),
-        "limit_at_zero": sweep.limit_at_zero,
-        "half_pi": math.pi / 2.0,
-        "verdict": bool(a_verdict),
-    }
-    return {
-        "schema": "fracbdf-stability-report-v1",
-        "k": k, "alpha": alpha, "sigma": sigma, "tau": tau,
-        "property_p": property_p,
-        "property_a": property_a,
-        "tolerances": {"argument": 1e-9, "eigen_sandwich": 1e-10, "f_min_floor": 1e-12},
-        "verdict": "PASS" if p_verdict and a_verdict else "FAIL",
-    }

@@ -218,9 +218,9 @@ def check_argument_sweep() -> CheckResult:
     worst = 0.0
     worst_at = None
     for k in (3, 4, 5, 6):
-        for i in range(1, 21):
-            alpha = 0.05 * i
-            for st in (0.0, 0.05, 0.5):
+        for st in (0.0, 0.05, 0.5):
+            for i in range(1, 21):
+                alpha = 0.05 * i
                 sweep = argument_sweep(k, alpha, sigma=st, tau=1.0, grid_size=8192)
                 m = sweep.max_abs_arg
                 if m > worst:

@@ -22,7 +22,7 @@ import fracbdf
 from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      argument_sweep, bdf_g_coefficients, multiplier_energy_check,
                      multiplier_set, positivity_generating_function, q_coefficients,
-                     quadrature_positivity_check, stability_report, toeplitz_eigencheck,
+                     quadrature_positivity_check, toeplitz_eigencheck,
                      verification)
 from fracbdf.cli import main
 from fracbdf.multipliers import QTable
@@ -269,7 +269,6 @@ def test_stability_entry_points_reject_bad_sigma_tau(sigma, tau):
         lambda: toeplitz_eigencheck(3, sigma, tau, 10),
         lambda: positivity_generating_function(3, sigma, tau),
         lambda: argument_sweep(3, 0.5, sigma, tau, grid_size=64),
-        lambda: stability_report(3, 0.5, sigma, tau, grid_size=1024, matrix_sizes=(10,)),
         lambda: multiplier_energy_check(3, sigma=sigma, tau=tau, N=10),
     )
     for call in calls:

@@ -1,11 +1,14 @@
+import hashlib
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracbdf as f
+import fracbdf.cli
 from fracbdf.cli import main
 from fracbdf.highprec import terminal_error_mp
 
@@ -79,6 +82,45 @@ def test_check_astability(capsys, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "x,arg_q,theta1,theta2,reciprocal_sum"
     assert len(lines) == 2050
+
+
+#: Output of the check commands, captured when one combined report served
+#: both; check-positivity then also printed the unused --alpha default.
+_CHECK_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "check_commands.json").read_text())
+#: sha256 of the --csv-out file of the k = 6 check-astability golden.
+_ASTABILITY_CSV_SHA256 = "71bf648dc30a26600bd0c3c0ff8132b4d2259c55d3b388479c4bf42ac28937e8"
+
+
+@pytest.mark.parametrize("case", _CHECK_GOLDENS,
+                         ids=lambda c: "-".join(c["argv"][:3]))
+def test_check_commands_match_their_goldens(capsys, tmp_path, case):
+    csv_path = tmp_path / "sweep.csv"
+    code, out = run_cli(capsys, *(str(csv_path) if a == "CSV" else a for a in case["argv"]))
+    assert code == 0
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        alpha_line = '  "alpha": 0.5,\n'
+        assert alpha_line in case["stdout_with_alpha"]
+        assert out == case["stdout_with_alpha"].replace(alpha_line, "", 1)
+    if "CSV" in case["argv"]:
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == _ASTABILITY_CSV_SHA256
+
+
+def test_check_positivity_takes_no_alpha_and_never_sweeps(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("check-positivity ran an argument sweep")
+
+    monkeypatch.setattr(fracbdf.cli, "argument_sweep", no_sweep)
+    monkeypatch.setattr(fracbdf.stability, "argument_sweep", no_sweep)
+    code, out = run_cli(capsys, "check-positivity", "--k", "3", "--sigma", "0.2",
+                        "--N", "10,600")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    with pytest.raises(SystemExit) as exc:       # positivity depends on no alpha
+        main(["check-positivity", "--k", "3", "--alpha", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha" in capsys.readouterr().err
 
 
 def test_toeplitz(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracbdf import (FracParams, ParameterDomainError, bdf_g_coefficients,
-                     bdf_l_coefficients, bdf_polynomial, series_oracle)
+from fracbdf import (CoefficientTable, FracParams, ParameterDomainError,
+                     bdf_g_coefficients, bdf_l_coefficients, bdf_polynomial, series_oracle)
 from fracbdf.coefficients import (_H_TERMS, _power_series, _residual_coefficients,
                                   _residual_power)
 from fracbdf.highprec import fixed_bits, scalar_weights_mp
@@ -107,6 +108,20 @@ def test_tables_are_read_only():
     table = bdf_g_coefficients(2, FracParams(alpha=0.5), 4)
     with pytest.raises(ValueError):
         table.l[0] = 0.0
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.7))
+def test_table_derives_g_on_first_read(sigma):
+    assert [fd.name for fd in dataclasses.fields(CoefficientTable)] == ["k", "params", "l"]
+    table = bdf_g_coefficients(6, FracParams(alpha=0.4, sigma=sigma, tau=0.01), 1000)
+    assert "g" not in table.__dict__
+    g = table.g
+    assert g.tobytes() == (table.l * table.params.damping ** np.arange(1001)).tobytes()
+    if sigma == 0.0:
+        assert g.tobytes() == table.l.tobytes()
+    assert table.g is g and not g.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.g = g
 
 
 @pytest.mark.parametrize("bad", [0, 7, -1])

@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (DistributedOrder, FracParams, FractionalOperatorSpec,
                      MultiTerm, ParameterDomainError, QuadratureRule, ScalarOperator,
-                     SingleTerm, SubdiffusionProblem, apply_history,
-                     bdf_g_coefficients, discretize, operator_spec_from_dict)
+                     SingleTerm, SubdiffusionProblem, TridiagonalLaplacian, apply_history,
+                     bdf_g_coefficients, discretize, operator_spec_from_dict, solver,
+                     step_solve)
 
 
 def test_single_term_validation():
@@ -62,6 +63,33 @@ def test_discretize_multi_term_zero_weight():
     g03 = bdf_g_coefficients(2, FracParams(alpha=0.3, tau=tau), 8).g[0]
     assert op.zero_weight == pytest.approx(
         2.0 * tau ** -0.8 * g08 + tau ** -0.3 * g03, rel=1e-14)
+
+
+_NO_G_SPECS = (
+    FractionalOperatorSpec(SingleTerm(alpha=0.5), sigma=0.0),
+    FractionalOperatorSpec(MultiTerm(terms=((2.0, 0.8), (1.0, 0.3))), sigma=0.4),
+    FractionalOperatorSpec(DistributedOrder(weight=lambda a: 1.0,
+                                            quadrature=QuadratureRule.gauss_legendre(4)),
+                           sigma=1.0),
+)
+
+
+@pytest.mark.parametrize("spec", _NO_G_SPECS, ids=("single", "multi", "distributed"))
+def test_march_builds_no_tempered_table(spec, monkeypatch):
+    # the march reads only the untempered weights, so no table forms its g
+    ops = []
+
+    def recording(*args):
+        ops.append(discretize(*args))
+        return ops[-1]
+
+    monkeypatch.setattr(solver, "discretize", recording)
+    step_solve(SubdiffusionProblem(A=TridiagonalLaplacian(8), rho=np.ones(8), T=1.0,
+                                   time_op=spec), 4, 100)
+    assert len(ops) == 1
+    for op in ops + [discretize(spec, 4, 0.01, 100)]:
+        assert op.untempered_weights.shape == (101,)
+        assert all("g" not in t.__dict__ for t in op.tables)
 
 
 def test_history_empty_and_first_step():

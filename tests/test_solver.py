@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from fracbdf import (DenseSPDOperator, FractionalOperatorSpec, ParameterDomainError,
                      ScalarOperator, SingleTerm, SubdiffusionProblem,
-                     TridiagonalLaplacian, convergence_harness, correction_weights,
-                     exact_scalar_solution, problem_from_dict, scalar_problem,
+                     TridiagonalLaplacian, bdf_polynomial, convergence_harness,
+                     correction_weights, exact_scalar_solution, problem_from_dict, scalar_problem,
                      stability_experiment, stability_refinement, step_solve,
                      verification)
 
@@ -29,6 +29,70 @@ def test_correction_tables_exact():
     assert correction_weights(6) == (Fraction(2837, 1440), Fraction(-2543, 720),
                                      Fraction(17, 5), Fraction(-1201, 720),
                                      Fraction(95, 288))
+
+
+def _in_powers_of_w(zeta_coeffs):
+    """Coefficients, ascending, of sum_n c_n zeta^n rewritten in w = 1 - zeta."""
+    out = [Fraction(0)] * len(zeta_coeffs)
+    for n, c in enumerate(zeta_coeffs):
+        for i in range(n + 1):
+            out[i] += c * math.comb(n, i) * (-1) ** i
+    return out
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _order_defect(k, a):
+    """delta_k(zeta) * d_k(zeta) - 1 in powers of w = 1 - zeta, with
+    d_k = zeta/(1 - zeta) + sum_n a_n zeta^n, n = 1..k-1."""
+    delta = _in_powers_of_w(bdf_polynomial(k))            # delta_k(1) = 0: no w^0 term
+    assert delta[0] == 0
+    out = _poly_mul(delta[1:], [Fraction(1), Fraction(-1)])   # delta_k * zeta / w
+    for n, an in enumerate(a, start=1):
+        term = _poly_mul(delta, _in_powers_of_w([0] * n + [an]))
+        out += [Fraction(0)] * (len(term) - len(out))
+        for i, c in enumerate(term):
+            out[i] += c
+    out[0] -= 1
+    return out
+
+
+#: Leading coefficient of (1 - zeta)^k in delta_k * d_k - 1, k = 1..6.
+_ORDER_REMAINDERS = (Fraction(-1), Fraction(-3, 4), Fraction(-5, 8), Fraction(-79, 144),
+                     Fraction(-143, 288), Fraction(-3961, 8640))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_corrections_follow_from_the_order_condition(k):
+    # delta_k * d_k = 1 + O((1 - zeta)^k) (Jin, Li and Zhou, SIAM J. Sci.
+    # Comput. 39, 2017) fixes a_1..a_(k-1): the w^1..w^(k-1) coefficients of
+    # the defect are linear in them.  Solve that system exactly and compare
+    # with the table, then check the defect and its leading remainder.
+    unit = [tuple(Fraction(int(i == n)) for i in range(k - 1)) for n in range(k - 1)]
+    free = _order_defect(k, [Fraction(0)] * (k - 1))
+    rows = [[_order_defect(k, e)[i] - free[i] for e in unit] + [-free[i]]
+            for i in range(1, k)]
+    for col in range(k - 1):                       # Gauss-Jordan on rationals
+        piv = next(r for r in range(col, k - 1) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k - 1):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    assert tuple(row[-1] for row in rows) == correction_weights(k)
+    defect = _order_defect(k, correction_weights(k))
+    assert defect[:k] == [0] * k
+    assert defect[k] == _ORDER_REMAINDERS[k - 1]
+    for n in range(k - 1):                         # any slip breaks the condition
+        nudged = list(correction_weights(k))
+        nudged[n] += Fraction(1, 1000)
+        assert _order_defect(k, nudged)[:k] != [0] * k, n
 
 
 # ---------------------------------------------------------------------------

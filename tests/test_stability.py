@@ -11,8 +11,9 @@ from fracbdf import (ENERGY_CONSTANTS, FracParams, ParameterDomainError,
                      bdf_polynomial, composite_angle, lower_bound_extrema,
                      multiplier_energy_check, multiplier_set,
                      positivity_generating_function, q_coefficients,
-                     quadrature_positivity_check, stability_report,
-                     toeplitz_eigencheck, trig_min)
+                     quadrature_positivity_check, toeplitz_eigencheck, trig_min,
+                     verification)
+from fracbdf.cli import main
 from fracbdf.multipliers import _RECIPROCAL_FACTORS
 from fracbdf.stability import (_BAND_MIN_CUBIC, _factored_angles, _residual_values,
                                _cheb2poly, _sweep_angles, _symbol_extrema, _trig_candidates)
@@ -290,12 +291,12 @@ def test_shared_sweep_angles_equal_a_fresh_evaluation(k, st):
 
 
 def test_sweep_angle_memo_stays_bounded():
-    bound = _sweep_angles.cache_info().maxsize
-    assert bound >= 3                  # the three sigma*tau of the sweep check
-    for k in (3, 4, 5, 6):
-        for st in np.linspace(0.0, 1.0, 7):
-            argument_sweep(k, 0.5, sigma=float(st), grid_size=64)
-    assert _sweep_angles.cache_info().currsize == bound
+    # the battery's sweep runs every alpha at one (k, sigma*tau) before the
+    # next, so a one-entry memo computes each of its 12 pairs once
+    _sweep_angles.cache_clear()
+    assert verification.check_argument_sweep().passed
+    info = _sweep_angles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 228, 1)
 
 
 def test_sweep_rejects_bad_inputs():
@@ -415,12 +416,21 @@ def test_quadratic_form_length_guard():
         quadrature_positivity_check(q, N=10, trials=5)
 
 
-def test_stability_report_roundtrip():
-    payload = stability_report(6, alpha=0.9, matrix_sizes=(10, 50), grid_size=2048)
-    assert payload["verdict"] == "PASS"
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["property_p"]["positivity_polynomial_min"] > 0.0
-    assert payload["property_a"]["max_abs_arg"] <= HALF_PI + 1e-9
+def test_stability_report_roundtrip(capsys):
+    # the positivity and A-stability reports of the two check commands
+    assert main(["check-positivity", "--k", "6", "--N", "10,50"]) == 0
+    positivity = json.loads(capsys.readouterr().out)
+    assert main(["check-astability", "--k", "6", "--alpha", "0.9", "--grid", "2048"]) == 0
+    astability = json.loads(capsys.readouterr().out)
+    for payload in (positivity, astability):
+        assert payload["schema"] == "fracbdf-stability-report-v1"
+        assert payload["verdict"] == "PASS"
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["property_p"]["positivity_polynomial_min"] > 0.0
+    assert "alpha" not in positivity and "property_a" not in positivity
+    assert [t["N"] for t in positivity["property_p"]["toeplitz"]] == [10, 50]
+    assert astability["property_p"]["toeplitz"] == []
+    assert astability["property_a"]["max_abs_arg"] <= HALF_PI + 1e-9
     assert float(ENERGY_CONSTANTS[6]) == pytest.approx(1.0 / 24.0)
 
 
