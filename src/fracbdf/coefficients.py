@@ -80,7 +80,7 @@ class FracParams:
         return math.exp(-self.sigma * self.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Quadrature weights l_0..l_J; their tempered g_j are derived on access."""
 

@@ -117,7 +117,7 @@ def _divide_by_mu(x: np.ndarray, k: int, damp: float) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReciprocalSeries:
     """Tempered power-series coefficients c_0..c_J of 1/mu(zeta)."""
 
@@ -136,7 +136,7 @@ def reciprocal_series(k: int, params: FracParams, J: int) -> ReciprocalSeries:
     return ReciprocalSeries(k=k, params=params, c=_divide_by_mu(impulse, k, params.damping))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QTable:
     """Composite convolution weights q_0..q_J of g(zeta)/mu(zeta)."""
 

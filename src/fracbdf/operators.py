@@ -133,7 +133,7 @@ WEIGHT_FUNCTIONS: dict[str, Callable[..., Callable[[float], float]]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTimeOperator:
     """Assembled discrete operator: sum_i scale_i * (g^(i) convolution)."""
 

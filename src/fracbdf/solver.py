@@ -75,8 +75,8 @@ the step and the trial.
 
 Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
 Laplacian on a uniform interior grid (orthonormal DST-I basis, by a real
-FFT of the odd extension), or a general dense SPD matrix (``eigh`` basis;
-LU solves by ``numpy.linalg.solve``).  The Laplacian's shifted systems are
+FFT of the odd extension), or a general dense SPD matrix (``eigh`` basis,
+which also solves its shifted systems).  The Laplacian's shifted systems are
 solved by LDL^T, with its rows cut into pieces of at least 64 that run in
 lockstep and are joined by one small interface system (the partition
 method, :meth:`TridiagonalLaplacian.shifted_solver`).  That solve stays
@@ -332,7 +332,7 @@ class DenseSPDOperator:
     """A general symmetric positive definite matrix.
 
     Its eigensystem is computed once (it also serves as the definiteness
-    check); shifted systems are solved by LU (``numpy.linalg.solve``).
+    check), and every shifted system is solved from it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -361,15 +361,15 @@ class DenseSPDOperator:
         return self.matrix[lo:hi] @ v
 
     def shifted_solver(self, shift: float):
-        shifted = self.matrix + shift * np.eye(self.dim)
-
-        def solve(rhs, out=None):
-            x = np.linalg.solve(shifted, np.asarray(rhs, dtype=float))
-            if out is None:
-                return x
-            out[...] = x
-            return out
-        return solve
+        """x = V diag(1/(shift + lam)) V^T b solves (A + shift I) x = b, for
+        b of shape (dim,) or (dim, cols); ``out`` may be b itself."""
+        denom = shift + self._lam
+        if not denom[0] > 0.0:
+            raise np.linalg.LinAlgError(f"shifted operator is not positive definite "
+                                        f"(shift {shift!r})")
+        scaled, Vt = self._V / denom, self._V.T
+        return lambda rhs, out=None: np.matmul(
+            scaled, Vt @ np.ascontiguousarray(rhs, dtype=float), out=out)
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the ``eigh`` basis; the transforms
@@ -385,7 +385,7 @@ class DenseSPDOperator:
 # Problem and scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdiffusionProblem:
     """Spatial operator, initial datum, horizon and time-operator spec."""
 
@@ -421,7 +421,7 @@ def scalar_problem(lam: float, alpha: float, sigma: float = 0.0,
                                    SingleTerm(alpha=alpha), sigma=sigma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Trajectory and per-step linear-solve residuals of one march.
 

@@ -453,8 +453,9 @@ def _sweep_angles(k: int, damp: float, grid_size: int):
 
     None of them depends on alpha, so one evaluation serves every alpha
     at the same (k, sigma*tau, grid_size).  One entry, at most six
-    grid-sized arrays, is kept: the argument-sweep check runs all its
-    alphas at one (k, sigma*tau) before moving on.
+    grid-sized arrays, is kept: callers that sweep several alphas, such as
+    the series-certify workload of ``bench/workloads.py`` (five at each
+    (k, sigma*tau)), run them all at one (k, sigma*tau) before moving on.
     """
     x = np.linspace(math.pi / grid_size, math.pi, grid_size)
     theta1, theta2, recip = _factored_angles(k, x, damp)
@@ -463,7 +464,7 @@ def _sweep_angles(k: int, damp: float, grid_size: int):
     return x, theta1, theta2, recip
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArgumentSweep:
     """Argument of q(e^(ix)) traced over a grid in (0, pi]."""
 
@@ -614,13 +615,6 @@ def composite_angle(k: int, x) -> np.ndarray:
     return theta1 + theta2 + sum(recip)
 
 
-def reciprocal_angle_sum(k: int, x) -> np.ndarray:
-    """Sum of the reciprocal-factor angles (the positive part of arg q)."""
-    _check_multiplier_order(k)
-    _, _, recip = _factored_angles(k, np.atleast_1d(x), 1.0)
-    return sum(recip)
-
-
 def lower_bound_extrema(k: int) -> ExtremaReport:
     """Locate and verify every reference extremum constant for order k.
 
@@ -678,7 +672,7 @@ def lower_bound_extrema(k: int) -> ExtremaReport:
         x1 = math.acos(y1)
         records.append(ExtremumRecord(
             name="reciprocal angle maximum (k=6)",
-            y=y1, x=x1, value=float(reciprocal_angle_sum(6, x1)[0]),
+            y=y1, x=x1, value=float(sum(_factored_angles(6, np.array([x1]), 1.0)[2])[0]),
             bound=_RECIP_MAX_BOUND, kind="below",
             y_ref=_RECIP_SLOPE_ROOT_REF[0], x_ref=_RECIP_SLOPE_ROOT_REF[1]))
 

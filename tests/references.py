@@ -1,6 +1,7 @@
 """Plain reference implementations that only the tests use: the dense band
 matrix, the multiplier polynomial mu(zeta) and its roots, q evaluated on
-the unit circle from its factored form, and the Mittag-Leffler integral by
+the unit circle from its factored form, the argument bound sampled one
+alpha at a time, and the Mittag-Leffler integral by
 ``scipy.integrate.quad``."""
 
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 from scipy.linalg import toeplitz
 
-from fracbdf import multiplier_set, positivity_generating_function
+from fracbdf import argument_sweep, multiplier_set, positivity_generating_function
 from fracbdf.errors import InternalConsistencyError
 from fracbdf.multipliers import _RECIPROCAL_FACTORS
 from fracbdf.stability import _factored_angles, _residual_values
@@ -50,6 +51,22 @@ def q_boundary_values(k, alpha, x, sigma=0.0, tau=1.0):
     for c, mult in _RECIPROCAL_FACTORS[k]:
         mag = mag / np.abs(1.0 - float(c) * z) ** mult
     return mag * np.exp(1j * arg)
+
+
+ARGUMENT_PAIRS = tuple((k, st) for k in (3, 4, 5, 6) for st in (0.0, 0.05, 0.5))
+
+
+def sampled_argument_bound(alphas=tuple(0.05 * i for i in range(1, 21)), pairs=ARGUMENT_PAIRS):
+    """max |arg q| over sampled alphas, one 8192-point sweep each, as
+    (worst, (k, alpha, sigma*tau)); by default the 20 alphas 0.05..1.00 at
+    each (k, sigma*tau) of the argument-sweep check."""
+    worst, worst_at = 0.0, None
+    for k, st in pairs:
+        for alpha in alphas:
+            m = argument_sweep(k, alpha, sigma=st, tau=1.0, grid_size=8192).max_abs_arg
+            if m > worst:
+                worst, worst_at = m, (k, round(alpha, 2), st)
+    return worst, worst_at
 
 
 def integral_quad(alpha: float, z: float) -> float:

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fracbdf import (DenseSPDOperator, FractionalOperatorSpec, ParameterDomainError,
-                     ScalarOperator, SingleTerm, SubdiffusionProblem,
-                     TridiagonalLaplacian, bdf_polynomial, convergence_harness,
-                     correction_weights, exact_scalar_solution, problem_from_dict, scalar_problem,
-                     stability_experiment, stability_refinement, step_solve,
+from fracbdf import (DenseSPDOperator, FracParams, FractionalOperatorSpec,
+                     ParameterDomainError, ScalarOperator, SingleTerm, SubdiffusionProblem,
+                     TridiagonalLaplacian, argument_sweep, bdf_g_coefficients, bdf_polynomial,
+                     convergence_harness, correction_weights, exact_scalar_solution,
+                     multiplier_set, problem_from_dict, q_coefficients, reciprocal_series,
+                     scalar_problem, stability_experiment, stability_refinement, step_solve,
                      verification)
+from fracbdf.operators import DiscreteTimeOperator
 
 
 def test_correction_tables_exact():
@@ -149,6 +151,39 @@ def test_norm_identities(make):
 # ---------------------------------------------------------------------------
 # the scheme
 # ---------------------------------------------------------------------------
+
+_SHARED_OPERATOR = DenseSPDOperator(2.0 * np.eye(2))
+
+
+def _table():
+    return bdf_g_coefficients(3, FracParams(0.5), 4)
+
+
+def _problem():
+    return SubdiffusionProblem(_SHARED_OPERATOR, [1.0, 2.0], 1.0,
+                               FractionalOperatorSpec(SingleTerm(0.5)))
+
+
+#: Two calls of each factory give equal-valued records with array fields.
+_ARRAY_RECORDS = {
+    "CoefficientTable": _table,
+    "QTable": lambda: q_coefficients(_table(), multiplier_set(3), 4),
+    "ReciprocalSeries": lambda: reciprocal_series(3, FracParams(0.5), 8),
+    "SolveResult": lambda: step_solve(_problem(), 3, 8),
+    "ArgumentSweep": lambda: argument_sweep(3, 0.5, grid_size=16),
+    "SubdiffusionProblem": _problem,
+    "DiscreteTimeOperator": lambda: DiscreteTimeOperator(3, 0.25, 0.0, (1.0,), (_table(),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    # == on two records with array fields is a bool, not numpy's
+    # "truth value of an array is ambiguous" error
+    a, b = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+
 
 def test_zero_datum_stays_zero():
     res = step_solve(scalar_problem(1.0, 0.5, rho=0.0), 3, 16)

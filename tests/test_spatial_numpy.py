@@ -1,9 +1,10 @@
 """The numpy spatial kernels of the march against the scipy routines they
 replace: the partitioned tridiagonal solve against LAPACK ``dpttrs``, the
 DST-I against ``scipy.fft.dst``, ``_next_fast_len`` against
-``scipy.fft.next_fast_len`` and the dense LU solve against Cholesky.  The
-solve into ``out=``, which the march makes in its right-hand-side buffer,
-against the plain solve, and the memory that buffer saves."""
+``scipy.fft.next_fast_len`` and the dense solve from the eigensystem
+against Cholesky.  The solve into ``out=``, which the march makes in its
+right-hand-side buffer, against the plain solve, and the memory that
+buffer saves."""
 
 import functools
 import tracemalloc
@@ -64,6 +65,15 @@ def test_tridiagonal_solve_refuses_an_indefinite_shift():
         A.shifted_solver(-1.01 * A.eigenvalues()[0])
 
 
+def test_dense_solve_refuses_an_indefinite_shift():
+    A = _operator("dense", 64)
+    lam_min = A.eigensystem()[0][0]
+    A.shifted_solver(-0.99 * lam_min)
+    for shift in (-lam_min, -1.01 * lam_min):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            A.shifted_solver(shift)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 9, 64, 511, 512, 2039, 2048))
 def test_dst_matches_scipy_and_inverts_itself(n):
     x = np.random.default_rng(n).standard_normal((3, n))
@@ -106,7 +116,7 @@ def _operator(kind, dim):
 
 
 DIMS = (1, 2, 63, 64, 127, 128, 509, 512, 2048)
-#: The dense operator stops at 512: its eigh set-up and LU at 2048 take seconds.
+#: The dense operator stops at 512: its eigh set-up at 2048 takes seconds.
 OUT_CASES = ([("scalar", 1)] + [("tridiagonal", d) for d in DIMS]
              + [("dense", d) for d in DIMS if d <= 512])
 

@@ -17,7 +17,8 @@ from fracbdf.cli import main
 from fracbdf.multipliers import _RECIPROCAL_FACTORS
 from fracbdf.stability import (_BAND_MIN_CUBIC, _factored_angles, _residual_values,
                                _cheb2poly, _sweep_angles, _symbol_extrema, _trig_candidates)
-from references import mu_zeta_polynomial, q_boundary_values, toeplitz_band
+from references import (ARGUMENT_PAIRS, mu_zeta_polynomial, q_boundary_values,
+                        sampled_argument_bound, toeplitz_band)
 
 HALF_PI = math.pi / 2.0
 
@@ -291,12 +292,52 @@ def test_shared_sweep_angles_equal_a_fresh_evaluation(k, st):
 
 
 def test_sweep_angle_memo_stays_bounded():
-    # the battery's sweep runs every alpha at one (k, sigma*tau) before the
-    # next, so a one-entry memo computes each of its 12 pairs once
+    # the battery's check sweeps once per (k, sigma*tau); callers that sweep
+    # several alphas at one (k, sigma*tau) compute its angles once
     _sweep_angles.cache_clear()
     assert verification.check_argument_sweep().passed
     info = _sweep_angles.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (12, 228, 1)
+    assert (info.misses, info.hits, info.currsize) == (12, 0, 1)
+    for alpha in (0.2, 0.5, 0.9):
+        argument_sweep(4, alpha, sigma=0.05)
+    info = _sweep_angles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (13, 2, 1)
+
+
+def test_argument_check_bounds_every_sampled_alpha():
+    # arg q is affine in alpha, so alpha = 1 and the limit alpha -> 0 bound
+    # every alpha: the sampled reference reaches the check's value and a
+    # finer sample never exceeds the endpoint bound beyond rounding
+    details = verification.check_argument_sweep().details
+    assert (details["max_abs_arg"], details["worst_at"]) == sampled_argument_bound()
+    fine = [i / 400 for i in range(1, 401)]
+    for k, st in ARGUMENT_PAIRS:
+        sweep = argument_sweep(k, 1.0, sigma=st)
+        bound = max(sweep.max_abs_arg, float(np.max(np.abs(sum(sweep.reciprocal_angles)))))
+        assert bound <= details["max_abs_arg"]
+        sampled, _ = sampled_argument_bound(fine, [(k, st)])
+        assert sampled <= bound + 4 * np.spacing(bound), (k, st)
+
+
+def test_argument_check_sees_alphas_below_the_sample(monkeypatch):
+    # a planted reciprocal factor lifts max delta to about pi/2 + 0.01 where
+    # theta1 + theta2 < 0: |arg q| exceeds pi/2 only for alpha below ~0.007,
+    # which the 20 sampled alphas miss and the limit alpha -> 0 catches
+    monkeypatch.setitem(_RECIPROCAL_FACTORS, 6, _RECIPROCAL_FACTORS[6] + ((0.094, 1),))
+    _sweep_angles.cache_clear()
+    try:
+        sweep = argument_sweep(6, 1.0)
+        delta = sum(sweep.reciprocal_angles)
+        i = int(np.argmax(delta))
+        assert HALF_PI + 0.005 < delta[i] < HALF_PI + 0.02
+        assert sweep.theta1[i] + sweep.theta2[i] < -1.0
+        assert sampled_argument_bound()[0] <= HALF_PI + 1e-9
+        result = verification.check_argument_sweep()
+        assert not result.passed
+        assert result.details["worst_at"] == (6, 0.0, 0.0)
+        assert result.details["max_abs_arg"] == float(delta[i])
+    finally:
+        _sweep_angles.cache_clear()
 
 
 def test_sweep_rejects_bad_inputs():
