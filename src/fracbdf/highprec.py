@@ -186,16 +186,6 @@ def _check_scalar(alpha: float, sigma: float, lam: float, rho: float, T: float, 
     check_count(dps, "dps", 16)
 
 
-def solve_scalar_mp(k: int, alpha: float, sigma: float, lam: float, rho: float,
-                    T: float, N: int, corrected: bool = True, dps: int = 30) -> mpf:
-    """Terminal value u^N of the scalar scheme at resolution 2^-fixed_bits(dps)."""
-    _check_scalar(alpha, sigma, lam, rho, T, N, dps)
-    P = fixed_bits(dps)
-    v = _march_fixed(scalar_weights_mp(k, alpha, N, P), k, alpha, lam, T, N, corrected, P)
-    with mp.workprec(P):
-        return mpf((v, -P)) * (mp.exp(-mpf(sigma) * mpf(T)) * mpf(rho))
-
-
 def terminal_error_mp(k: int, alpha: float, sigma: float, lam: float,
                       rho: float, T: float, N: int, corrected: bool = True,
                       dps: int = 30) -> float:

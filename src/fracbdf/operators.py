@@ -15,8 +15,8 @@ S_j = e^(-sigma*j*tau) S^_j with the untempered weights S^ built from the
 l_j, exposed as ``untempered_weights``.  A table holds only the l_j and
 forms its g_j when first read, so the time march, which reads only
 ``untempered_weights``, builds no g at all.  The j = 0 term multiplies the
-unknown w^n and is exposed as ``zero_weight`` for the implicit solve; the
-lagged part is evaluated by :func:`apply_history`.
+unknown w^n in the implicit solve; the lagged part is evaluated by
+:func:`apply_history`.
 """
 
 from __future__ import annotations
@@ -157,11 +157,6 @@ class DiscreteTimeOperator:
         S = sum(s * t.l for s, t in zip(self.scales, self.tables))
         S.setflags(write=False)
         return S
-
-    @property
-    def zero_weight(self) -> float:
-        """Coefficient multiplying w^n in the implicit step; always > 0."""
-        return float(self.weights[0])
 
 
 def _order_pairs(spec: FractionalOperatorSpec) -> list[tuple[float, float]]:

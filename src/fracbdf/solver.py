@@ -60,9 +60,10 @@ The right-hand sides and w^ live in C-ordered (dim, trials, N+1) arrays,
 whose rows are contiguous in time: the matrix product forms them as
 G^T (d^ B), each row operation of the block solve runs over whole rows,
 and the residual transforms run along the rows.  Callers see the
-transposed (N+1, trials, dim) views.  :func:`step_solve` adds the initial
-layer e^(-sigma*n*tau) rho to w in that same buffer, so a solve holds one
-trajectory; its result keeps u alone and derives w from it on access.
+transposed (N+1, trials, dim) views.  One formula, :func:`_with_layer`,
+forms u^n = e^(-sigma*n*tau) w^^n + e^(-sigma*n*tau) rho wherever u is read;
+:func:`step_solve` applies it in that same buffer, so a solve holds one
+trajectory, and its result keeps u alone and derives w from it on access.
 Scaling row n by e^(sigma*n*tau) leaves its relative residual unchanged,
 so these are the residuals of the tempered system too.  The basis does
 not depend on rho, so the same kernel marches a (trials x dim) block of
@@ -73,23 +74,24 @@ Every relative residual must stay below :data:`RESIDUAL_BOUND`; a step
 above it raises :class:`~fracbdf.errors.InternalConsistencyError`, naming
 the step and the trial.
 
-Spatial operators: a positive scalar (identity basis), the 1D Dirichlet
-Laplacian on a uniform interior grid (orthonormal DST-I basis, by a real
-FFT of the odd extension), or a general dense SPD matrix (``eigh`` basis,
-which also solves its shifted systems).  The Laplacian's shifted systems are
-solved by LDL^T, with its rows cut into pieces of at least 64 that run in
-lockstep and are joined by one small interface system (the partition
-method, :meth:`TridiagonalLaplacian.shifted_solver`).  That solve stays
-backward stable: every piece is a principal submatrix of the SPD shifted
-operator, so its LDL^T needs no pivoting, and the shifted Laplacian is
-diagonally dominant, the case in which the partition method is stable
-(Polizzi and Sameh, Parallel Computing 32, 2006); its normwise backward
-error is within 2x that of LAPACK ``dpttrs`` (tests/test_spatial_numpy.py).
-The march runs on numpy alone and loads no scipy module.  All operators
-expose the energy norm |A^(1/2) v|, which the stability experiments use,
-and ``shifted_solver`` for one step's system (S_0 I + A) x = b, whose solve
-takes numpy's ``out=``: the march solves in its right-hand-side buffer, and
-the Laplacian's pieces sweep in it, all but a padded last one in place.
+Spatial operators: a general dense SPD matrix (``eigh`` basis, which also
+solves its shifted systems), a positive scalar (the 1 x 1 dense matrix,
+with the exact basis [[1]]), or the 1D Dirichlet Laplacian on a uniform
+interior grid (orthonormal DST-I basis, by a real FFT of the odd extension),
+whose shifted systems are solved by LDL^T, with the rows cut into pieces of
+at least 64 that run in lockstep and are joined by one small interface
+system (the partition method, :meth:`TridiagonalLaplacian.shifted_solver`).
+That solve stays backward stable: every piece is a principal submatrix of
+the SPD shifted operator, so its LDL^T needs no pivoting, and the shifted
+Laplacian is diagonally dominant, the case in which the partition method
+is stable (Polizzi and Sameh, Parallel Computing 32, 2006); its normwise
+backward error is within 2x that of LAPACK ``dpttrs``
+(tests/test_spatial_numpy.py).  The march runs on numpy alone and loads no
+scipy module.  All operators expose the energy norm |A^(1/2) v|, which the
+stability experiments use, and ``shifted_solver`` for one step's system
+(S_0 I + A) x = b, whose solve takes numpy's ``out=``: the march solves in
+its right-hand-side buffer, and the Laplacian's pieces sweep in it, all but
+a padded last one in place.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import bdf_l_coefficients, check_alpha, check_order
+from .coefficients import check_alpha, check_order
 from .errors import InternalConsistencyError, ParameterDomainError, check_count, parses_config
 from .operators import FractionalOperatorSpec, SingleTerm, discretize, operator_spec_from_dict
 from .special import _standard_normal, exact_scalar_solution
@@ -129,10 +131,6 @@ def correction_weights(k: int) -> tuple[Fraction, ...]:
 # Spatial operators
 # ---------------------------------------------------------------------------
 
-def _identity(x):
-    return x
-
-
 @functools.lru_cache(maxsize=None)
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n, which numpy's FFT factors into
@@ -157,37 +155,6 @@ def _dst_ortho(x):
     ext[..., 1:n + 1] = x
     ext[..., n + 2:] = -x[..., ::-1]
     return -np.fft.rfft(ext, norm="ortho").imag[..., 1:n + 1]
-
-
-class ScalarOperator:
-    """A = lam > 0 acting on one degree of freedom."""
-
-    def __init__(self, value: float):
-        if not 0.0 < value < math.inf:
-            raise ParameterDomainError(f"scalar operator must be finite and > 0, got {value!r}")
-        self.value = float(value)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.value * np.asarray(v, dtype=float)
-
-    def _matvec_rows(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of A v."""
-        return self.value * v[lo:hi]
-
-    def shifted_solver(self, shift: float):
-        denom = shift + self.value
-        return lambda rhs, out=None: np.divide(np.asarray(rhs, dtype=float), denom, out=out)
-
-    def eigensystem(self):
-        """(lam, to_modal, from_modal); the basis is the identity."""
-        return np.array([self.value]), _identity, _identity
-
-    def energy_norm(self, v) -> float:
-        return math.sqrt(self.value) * float(np.linalg.norm(v))
 
 
 class TridiagonalLaplacian:
@@ -329,16 +296,17 @@ class TridiagonalLaplacian:
 
 
 class DenseSPDOperator:
-    """A general symmetric positive definite matrix.
-
-    Its eigensystem is computed once (it also serves as the definiteness
-    check), and every shifted system is solved from it.
-    """
+    """A general symmetric positive definite matrix, held as a private
+    read-only copy.  Its eigensystem A = V diag(lam) V^T is computed once (it
+    also serves as the definiteness check), and every shifted system is
+    solved from it."""
 
     def __init__(self, matrix: np.ndarray):
-        A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ParameterDomainError("matrix must be square")
+        if np.iscomplexobj(matrix):
+            raise ParameterDomainError("matrix entries must be real")
+        A = np.array(matrix, dtype=float)
+        if A.ndim != 2 or not 0 < A.shape[0] == A.shape[1]:
+            raise ParameterDomainError("matrix must be square and non-empty")
         if not np.all(np.isfinite(A)):
             raise ParameterDomainError("matrix entries must be finite")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
@@ -346,6 +314,7 @@ class DenseSPDOperator:
         lam, V = np.linalg.eigh(A)
         if lam[0] <= 0.0:
             raise ParameterDomainError("matrix must be positive definite")
+        A.setflags(write=False)
         self.matrix = A
         self._lam, self._V = lam, V
 
@@ -361,15 +330,18 @@ class DenseSPDOperator:
         return self.matrix[lo:hi] @ v
 
     def shifted_solver(self, shift: float):
-        """x = V diag(1/(shift + lam)) V^T b solves (A + shift I) x = b, for
-        b of shape (dim,) or (dim, cols); ``out`` may be b itself."""
+        """x = V ((V^T b) / (shift + lam)), the quotient taken in place, solves
+        (A + shift I) x = b for b of shape (dim,) or (dim, cols); ``out`` may be b."""
         denom = shift + self._lam
         if not denom[0] > 0.0:
             raise np.linalg.LinAlgError(f"shifted operator is not positive definite "
                                         f"(shift {shift!r})")
-        scaled, Vt = self._V / denom, self._V.T
-        return lambda rhs, out=None: np.matmul(
-            scaled, Vt @ np.ascontiguousarray(rhs, dtype=float), out=out)
+
+        def solve(rhs, out=None):
+            y = self._V.T @ np.ascontiguousarray(rhs, dtype=float)
+            np.divide(y.T, denom, out=y.T)
+            return np.matmul(self._V, y, out=out)
+        return solve
 
     def eigensystem(self):
         """(lam, to_modal, from_modal) in the ``eigh`` basis; the transforms
@@ -379,6 +351,23 @@ class DenseSPDOperator:
 
     def energy_norm(self, v) -> float:
         return math.sqrt(max(float(np.dot(v, self.matvec(v))), 0.0))
+
+
+class ScalarOperator(DenseSPDOperator):
+    """A = lam > 0 on one degree of freedom: the 1 x 1 dense operator.  Its
+    eigensystem lam = [value], V = [[1]] is exact, so it is set without
+    ``eigh``, and the shifted solve is bitwise b / (shift + value)."""
+
+    def __init__(self, value: float):
+        if not 0.0 < value < math.inf:
+            raise ParameterDomainError(f"scalar operator must be finite and > 0, got {value!r}")
+        self.value = float(value)
+        self.matrix = np.array([[self.value]])
+        self.matrix.setflags(write=False)
+        self._lam, self._V = np.array([self.value]), np.ones((1, 1))
+
+    def energy_norm(self, v) -> float:
+        return math.sqrt(self.value) * float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +465,8 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
     residuals = residuals[:, 0]
     u = w[:, 0].T                       # (dim, N+1), contiguous in time
     rows = max(1, _BLOCK // (N + 1))
-    for c in range(0, len(u), rows):    # u = w + decay rho, in place
-        u[c:c + rows] += decay * problem.rho[c:c + rows, None]
+    for c in range(0, len(u), rows):
+        _with_layer(u[c:c + rows], decay, problem.rho[c:c + rows, None], out=u[c:c + rows])
     u = u.T
     times = tau * np.arange(N + 1)
     for arr in (times, u, residuals):
@@ -494,19 +483,23 @@ def _march(problem: SubdiffusionProblem, k: int, N: int, rho: np.ndarray,
            corrected: bool):
     """March the data rho[b] (rows of a trials x dim block) of ``problem``.
 
-    Returns (tau, decay, w, residuals) with w of shape (N+1, trials, dim)
-    and residuals of shape (N+1, trials).  The march runs in the untempered
-    frame (module docstring) and applies the tempering e^(-sigma*n*tau) to
-    w once, at the end.
+    Returns (tau, decay, w^, residuals): decay[n] = e^(-sigma*n*tau), the
+    untempered w^ of shape (N+1, trials, dim) and residuals (N+1, trials).
     """
     check_order(k)
     N = check_count(N, "N", k)
     tau = problem.T / N
     S = discretize(problem.time_op, k, tau, N).untempered_weights
     w, residuals = _untempered_march(problem.A, S, rho, _corrections(k, corrected))
-    decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
-    w *= decay[:, None, None]
-    return tau, decay, w, residuals
+    return tau, np.exp(-problem.sigma * tau * np.arange(N + 1)), w, residuals
+
+
+def _with_layer(w, decay, rho, out=None):
+    """u = w^ decay + decay rho, for broadcastable blocks of the untempered
+    w^, the factors decay = e^(-sigma*n*tau) and the datum rho."""
+    u = np.multiply(w, decay, out=out)
+    u += decay * rho
+    return u
 
 
 def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float],
@@ -717,7 +710,7 @@ def spatial_from_dict(d: dict):
         return ScalarOperator(float(d["value"]))
     if variant == "tridiagonal":
         return TridiagonalLaplacian(d["size"], float(d.get("length", 1.0)))
-    return DenseSPDOperator(np.asarray(d["matrix"], dtype=float))
+    return DenseSPDOperator(d["matrix"])
 
 
 def _rho_from_config(value, A) -> np.ndarray:
@@ -823,11 +816,11 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
     untempered frame S^ = tau^(-alpha) l, the reciprocal 1/(S^ + lam), the
     block solve and the residuals are sigma-free, and sigma enters only
     through the factor e^(-sigma*N*tau) of the terminal value.  So the
-    float64 path builds the l_j once, each grid's reciprocal basis once, and
-    each (grid, corrected) march once; every terminal value is formed with the
-    operations :func:`step_solve` uses, so each error is bitwise that of a
-    separate :func:`convergence_harness` call.  The twin likewise builds its
-    weights and E_alpha once per path and marches each (grid, corrected) once.
+    float64 path builds each grid's S^ and reciprocal basis once, and each
+    (grid, corrected) march once; every terminal value is formed by
+    :func:`_with_layer`, so each error is bitwise that of a separate
+    :func:`convergence_harness` call.  The twin likewise builds its weights
+    and E_alpha once per path and marches each (grid, corrected) once.
 
     A float64 error at or below the cancellation floor of u^N
     (:data:`_ROUNDOFF_ULPS` ulps of e^(-sigma*T)*|rho|) raises
@@ -848,22 +841,21 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
                  for sigma in {p.sigma for p in problems}}
         A = problems[0].A
         rho_b = problems[0].rho[None]
-        l = bdf_l_coefficients(k, alpha, N_list[-1])
         errors = [[] for _ in variants]
         max_residual = {c: 0.0 for _, c in variants}
         for N in N_list:
             tau = problems[0].T / N
-            S = tau ** (-alpha) * l[:N + 1]      # bitwise the operator's S^
+            S = discretize(problems[0].time_op, k, tau, N).untempered_weights
             basis = _reciprocal_basis(S, A.eigensystem()[0])
             for corrected in max_residual:
                 w, residuals = _untempered_march(A, S, rho_b, _corrections(k, corrected),
                                                  basis)
                 max_residual[corrected] = max(max_residual[corrected], float(residuals.max()))
                 for i, (p, (_, c)) in enumerate(zip(problems, variants)):
-                    if c == corrected:     # u^N with the operations of step_solve
+                    if c == corrected:
                         decay = np.exp(-p.sigma * tau * np.arange(N + 1))[N]
-                        u = decay * p.rho[0] + w[N, 0, 0] * decay
-                        error = abs(float(u) - exact[p.sigma])
+                        error = abs(float(_with_layer(w[N, 0, 0], decay, p.rho[0]))
+                                    - exact[p.sigma])
                         floor = _ROUNDOFF_ULPS * np.finfo(float).eps * decay * abs(rho)
                         if not error > floor:
                             raise ParameterDomainError(
@@ -936,11 +928,11 @@ def stability_experiment(problem: SubdiffusionProblem, k: int, N: int,
     tau, decay, w, residuals = _march(problem, k, N, eps0, True)
     # Energy norms |A^(1/2) eps^n_b| of every trajectory, in row blocks so
     # that no second full-size array is live beside w.
-    w, decay = w[1:], decay[1:]
+    w, decay = w[1:], decay[1:, None, None]
     norms = np.empty((N, perturbations))
     rows = max(1, _BLOCK // (perturbations * A.dim))
     for r in range(0, N, rows):
-        eps = (decay[r:r + rows, None, None] * eps0 + w[r:r + rows]).reshape(-1, A.dim)
+        eps = _with_layer(w[r:r + rows], decay[r:r + rows], eps0).reshape(-1, A.dim)
         sq = np.einsum("ij,ij->i", eps, A.matvec(eps.T).T)
         norms[r:r + rows] = np.sqrt(np.maximum(sq, 0.0)).reshape(-1, perturbations)
     e0 = np.array([A.energy_norm(e) for e in eps0])

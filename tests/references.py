@@ -1,16 +1,18 @@
 """Plain reference implementations that only the tests use: the dense band
 matrix, the multiplier polynomial mu(zeta) and its roots, q evaluated on
 the unit circle from its factored form, the argument bound sampled one
-alpha at a time, and the Mittag-Leffler integral by
-``scipy.integrate.quad``."""
+alpha at a time, the Mittag-Leffler integral by ``scipy.integrate.quad``,
+and the terminal value of the fixed-point twin."""
 
 import math
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.linalg import toeplitz
 
 from fracbdf import argument_sweep, multiplier_set, positivity_generating_function
 from fracbdf.errors import InternalConsistencyError
+from fracbdf.highprec import _check_scalar, _march_fixed, fixed_bits, scalar_weights_mp
 from fracbdf.multipliers import _RECIPROCAL_FACTORS
 from fracbdf.stability import _factored_angles, _residual_values
 
@@ -93,3 +95,12 @@ def integral_quad(alpha: float, z: float) -> float:
             f"Mittag-Leffler quadrature error estimate {err:.2e} too large "
             f"(alpha={alpha}, z={z})")
     return math.sin(alpha * math.pi) / (alpha * math.pi) * val / x
+
+
+def solve_scalar_mp(k, alpha, sigma, lam, rho, T, N, corrected=True, dps=30):
+    """Terminal value u^N of the scalar scheme at resolution 2^-fixed_bits(dps)."""
+    _check_scalar(alpha, sigma, lam, rho, T, N, dps)
+    P = fixed_bits(dps)
+    v = _march_fixed(scalar_weights_mp(k, alpha, N, P), k, alpha, lam, T, N, corrected, P)
+    with mp.workprec(P):
+        return mpf((v, -P)) * (mp.exp(-mpf(sigma) * mpf(T)) * mpf(rho))

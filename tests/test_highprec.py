@@ -4,8 +4,8 @@ import pytest
 from mpmath import mp
 
 from fracbdf import bdf_l_coefficients, mittag_leffler, scalar_problem, step_solve
-from fracbdf.highprec import (fixed_bits, mittag_leffler_mp, scalar_weights_mp,
-                              solve_scalar_mp, terminal_error_mp)
+from fracbdf.highprec import fixed_bits, mittag_leffler_mp, scalar_weights_mp, terminal_error_mp
+from references import solve_scalar_mp
 
 
 def test_mp_weights_match_float_path():

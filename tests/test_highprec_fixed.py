@@ -9,9 +9,10 @@ from fracbdf import ParameterDomainError, bdf_polynomial, convergence_harness, s
 from fracbdf.coefficients import check_alpha, check_order
 from fracbdf import highprec
 from fracbdf.highprec import (_GUARD, _LEAF, _march_fixed, _to_fixed, fixed_bits,
-                              scalar_weights_mp, solve_scalar_mp, terminal_error_mp)
+                              scalar_weights_mp, terminal_error_mp)
 from fracbdf.solver import correction_weights
 from fracbdf.verification import check_convergence_orders
+from references import solve_scalar_mp
 
 
 def reference_weights_mp(k, alpha, J):

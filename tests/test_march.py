@@ -29,7 +29,7 @@ def reference_march(problem, k, N, corrected=True):
     tau = problem.T / N
     op = discretize(problem.time_op, k, tau, N)
     A = problem.A
-    solve_shifted = A.shifted_solver(op.zero_weight)
+    solve_shifted = A.shifted_solver(float(op.weights[0]))
     acorr = [float(a) for a in correction_weights(k)] if corrected else []
     Arho = A.matvec(problem.rho)
     decay = np.exp(-problem.sigma * tau * np.arange(N + 1))
@@ -39,7 +39,7 @@ def reference_march(problem, k, N, corrected=True):
         a_n = acorr[n - 1] if n - 1 < len(acorr) else 0.0
         rhs = -decay[n] * (1.0 + a_n) * Arho - apply_history(op, w[:n], n)
         w[n] = solve_shifted(rhs)
-        res = op.zero_weight * w[n] + A.matvec(w[n]) - rhs
+        res = float(op.weights[0]) * w[n] + A.matvec(w[n]) - rhs
         residuals[n] = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
     return w + decay[:, None] * problem.rho, residuals
 

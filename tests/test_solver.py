@@ -132,6 +132,43 @@ def test_dense_spd_validation():
     assert_allclose(A.matvec(A.shifted_solver(0.0)(rhs)), rhs, rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), (1.0 + 1.0j) * np.eye(3)],
+                         ids=["empty", "complex"])
+def test_dense_spd_refuses_empty_and_complex_matrices(matrix):
+    with pytest.raises(ParameterDomainError):
+        DenseSPDOperator(matrix)
+
+
+def test_dense_spd_holds_a_private_read_only_matrix():
+    """Editing the caller's array after construction reaches neither the
+    operator's matrix nor its solves, and the held matrices refuse writes."""
+    M = 2.0 * np.eye(4)
+    A = DenseSPDOperator(M)
+    M[0, 0] = 50.0
+    assert A.matrix[0, 0] == 2.0
+    spec = FractionalOperatorSpec(SingleTerm(0.5))
+    res = step_solve(SubdiffusionProblem(A=A, rho=np.ones(4), T=1.0, time_op=spec), 3, 32)
+    assert res.residuals.max() <= 1e-13
+    for held in (A.matrix, ScalarOperator(2.0).matrix):
+        with pytest.raises(ValueError):
+            held[0, 0] = 3.0
+
+
+def test_scalar_operator_is_the_one_by_one_dense_operator():
+    """The scalar operator is a 1 x 1 DenseSPDOperator whose shifted solve
+    is bitwise b / (shift + value), for 1-D and 2-D b and in place."""
+    value, shift = 2.3, 0.7
+    A = ScalarOperator(value)
+    assert isinstance(A, DenseSPDOperator) and A.dim == 1
+    solve = A.shifted_solver(shift)
+    rng = np.random.default_rng(3)
+    for b in (rng.standard_normal(1), rng.standard_normal((1, 257))):
+        expected = b / (shift + value)
+        assert solve(b).tobytes() == expected.tobytes()
+        assert solve(b, out=b) is b
+        assert b.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("make", [
     lambda: ScalarOperator(2.5),
     lambda: TridiagonalLaplacian(9),
