@@ -45,22 +45,23 @@ Newton doubling with FFT products, batched per round into as few FFT calls
 as fit in one block, and a unit column of C.  So K is the number of mild
 modes, plus 15 if any mode is stiff: far below dim on a fine grid.  The
 datum d^(z) = z/(1-z) + sum_n a_n z^n needs no FFT: its product with a row
-of B is a cumulative sum along time plus k-1 shifted adds.  Only the K
-modal rows C[r] (S_0 + lam) (A rho) are mapped back, by one
-``from_modal``, and one matrix product with the K series d^ B_r gives the
-right-hand sides (S_0 I + A) w^n of every step; one block solve with
-(S_0 I + A) gives every w^n.  That solve is backward stable; mapping w
-itself back would leave transform roundoff that A amplifies by its largest
-eigenvalue (relative residuals near 1e-10 at dim 2048).  The per-step
-residuals are then evaluated for all steps at once, in the untempered
-frame, from a physical-space FFT convolution of S^ with w^; they never
-touch the eigensystem, so they check the modal solve independently.
+of B is a cumulative sum along time plus k-1 shifted adds, none of which
+reads B_N, so B holds N coefficients.  Only the K modal rows
+C[r] (S_0 + lam) (A rho) are mapped back, by one ``from_modal``, to G_r,
+and rhs^n = sum_r G_r (d^ B_r)_n.  The spatial solve is linear, so one
+solve with (S_0 I + A) of the K columns G_r and one matrix product with the
+K series d^ B_r give every w^n.  That solve of physical right-hand sides is
+backward stable; mapping w itself back would leave transform roundoff that
+A amplifies by its largest eigenvalue (relative residuals near 1e-10 at
+dim 2048).  The per-step residuals are then evaluated for all steps at
+once, in the untempered frame, from a physical-space FFT convolution of S^
+with w^; they never touch the eigensystem, so they check the modal solve
+independently.
 
-The right-hand sides and w^ live in C-ordered (dim, trials, N+1) arrays,
-whose rows are contiguous in time: the matrix product forms them as
-G^T (d^ B), each row operation of the block solve runs over whole rows,
-and the residual transforms run along the rows.  Callers see the
-transposed (N+1, trials, dim) views.  One formula, :func:`_with_layer`,
+w^ lives in a C-ordered (dim, trials, N+1) array, whose rows are
+contiguous in time: the matrix product H^T (d^ B) writes it once, after B
+is freed, and the residual transforms run along its rows.  Callers see the
+transposed (N+1, trials, dim) view.  One formula, :func:`_with_layer`,
 forms u^n = e^(-sigma*n*tau) w^^n + e^(-sigma*n*tau) rho wherever u is read;
 :func:`step_solve` applies it in that same buffer, so a solve holds one
 trajectory, and its result keeps u alone and derives w from it on access.
@@ -89,9 +90,9 @@ backward error is within 2x that of LAPACK ``dpttrs``
 (tests/test_spatial_numpy.py).  The march runs on numpy alone and loads no
 scipy module.  All operators expose the energy norm |A^(1/2) v|, which the
 stability experiments use, and ``shifted_solver`` for one step's system
-(S_0 I + A) x = b, whose solve takes numpy's ``out=``: the march solves in
-its right-hand-side buffer, and the Laplacian's pieces sweep in it, all but
-a padded last one in place.
+(S_0 I + A) x = b, whose solve takes numpy's ``out=``: the march solves its
+K basis columns in their own buffer, and the Laplacian's pieces sweep in
+it, all but a padded last one in place.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ class TridiagonalLaplacian:
 class DenseSPDOperator:
     """A general symmetric positive definite matrix, held as a private
     read-only copy.  Its eigensystem A = V diag(lam) V^T is computed once (it
-    also serves as the definiteness check), and every shifted system is
-    solved from it."""
+    also serves as the definiteness check), held read-only as well, and every
+    shifted system is solved from it."""
 
     def __init__(self, matrix: np.ndarray):
         if np.iscomplexobj(matrix):
@@ -314,7 +315,8 @@ class DenseSPDOperator:
         lam, V = np.linalg.eigh(A)
         if lam[0] <= 0.0:
             raise ParameterDomainError("matrix must be positive definite")
-        A.setflags(write=False)
+        for held in (A, lam, V):
+            held.setflags(write=False)
         self.matrix = A
         self._lam, self._V = lam, V
 
@@ -363,8 +365,9 @@ class ScalarOperator(DenseSPDOperator):
             raise ParameterDomainError(f"scalar operator must be finite and > 0, got {value!r}")
         self.value = float(value)
         self.matrix = np.array([[self.value]])
-        self.matrix.setflags(write=False)
         self._lam, self._V = np.array([self.value]), np.ones((1, 1))
+        for held in (self.matrix, self._lam, self._V):
+            held.setflags(write=False)
 
     def energy_norm(self, v) -> float:
         return math.sqrt(self.value) * float(np.linalg.norm(v))
@@ -447,8 +450,8 @@ class SolveResult:
 _BLOCK = 2 ** 15
 
 #: Largest accepted relative residual of any step's system.  The march is
-#: backward stable: the largest residuals seen are 7.8e-12 at dim 2048 (the
-#: benchmark's march cases, seeds 0-4) and 6.8e-14 in the verify-paper
+#: backward stable: the largest residuals seen are 3.2e-11 at dim 2048 (the
+#: benchmark's tri2048 case, seeds 0-299) and 4.8e-14 in the verify-paper
 #: battery, so a step above this bound means the march itself went wrong;
 #: it raises InternalConsistencyError.
 RESIDUAL_BOUND = 1e-8
@@ -458,8 +461,8 @@ def step_solve(problem: SubdiffusionProblem, k: int, N: int,
                corrected: bool = True) -> SolveResult:
     """March the corrected scheme over N uniform steps.
 
-    Solves all N steps at once by modal series division and one block
-    solve (module docstring), then evaluates every step's residual.
+    Solves all N steps at once by modal series division and one spatial
+    solve of the K basis rows (module docstring), then every residual.
     """
     tau, decay, w, residuals = _march(problem, k, N, problem.rho[None], corrected)
     residuals = residuals[:, 0]
@@ -509,8 +512,10 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
 
     Returns w^ of shape (N+1, trials, dim), the transposed view of a
     time-contiguous array (module docstring), and its relative residuals,
-    shape (N+1, trials).  The reciprocal basis (:func:`_reciprocal_basis` of
-    S^ and lam) depends on neither the data nor the corrections: a caller
+    shape (N+1, trials).  With (G, dB) of :func:`_march_factors`, w^ =
+    H^T dB for H = (S_0 I + A)^(-1) G, solved in G's buffer; G, H and dB
+    are freed before the residuals.  The reciprocal basis (of S^_0..S^_(N-1)
+    and lam) depends on neither the data nor the corrections: a caller
     marching several data with the same S^ and operator may pass it as
     ``basis``.  Weights with S^_0 <= 0 or a non-finite entry (a scale
     b_i * tau^(-alpha_i) that overflows) raise ParameterDomainError, and so
@@ -532,10 +537,11 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
         raise ParameterDomainError(
             f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
             f"largest eigenvalue {float(lam.max())!r}")
-    rhs = _march_rhs(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis).T
-    flat = rhs.reshape(len(rhs), -1)
-    A.shifted_solver(S[0])(flat, out=flat)
-    w = rhs                    # solved in place
+    G, dB = _march_factors(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis)
+    H = G.reshape(len(G), -1)
+    A.shifted_solver(S[0])(H, out=H)                 # solved in G's buffer
+    w = (H.reshape(-1, len(dB)) @ dB).reshape(*G.shape[:2], -1)
+    del G, H, dB
     residuals = _residuals(A, S, w, d, Arho)
     n, b = np.unravel_index(np.argmax(residuals), residuals.shape)
     if not residuals[n, b] <= RESIDUAL_BOUND:
@@ -545,30 +551,27 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     return w.T, residuals
 
 
-def _march_rhs(S: np.ndarray, lam: np.ndarray, coef: np.ndarray, from_modal,
-               corrections: list[float], basis: tuple | None = None) -> np.ndarray:
-    """Physical right-hand sides, shape (N+1, trials, dim): row [n, b] is
-    from_modal of the modal vector coef[b, i] [d/(S + lam_i)]_n, for a
-    (trials, dim) block coef and d(z) = z/(1 - z) + sum_n a_n z^n.  The
-    result is the transposed view of a C-ordered (dim, trials, N+1) array,
-    whose rows are contiguous in time.
+def _march_factors(S: np.ndarray, lam: np.ndarray, coef: np.ndarray, from_modal,
+                   corrections: list[float], basis: tuple | None = None):
+    """Factors (G, dB) of the physical right-hand sides rhs^n_b =
+    sum_r G[:, b, r] dB[r, n], the from_modal of coef[b, i] [d/(S + lam_i)]_n
+    for a (trials, dim) block coef and d(z) = z/(1 - z) + sum_n a_n z^n.
 
-    With (B, C) = :func:`_reciprocal_basis`, d/(S + lam_i) = sum_r C[r, i] d B_r:
-    only the K rows G_r = from_modal(C[r] coef) are mapped back, and one
-    matrix product sum_r G_r (d B_r)_n forms every step.  d B is a cumsum
-    shifted by one step plus one shifted add per correction a_n =
-    corrections[n-1].  B, C and G are freed on return, before the block solve.
+    With (B, C) = :func:`_reciprocal_basis`, d/(S + lam_i) = sum_r C[r, i] d B_r,
+    so G_r = from_modal(C[r] coef), held C-ordered as (dim, trials, K) for one
+    spatial solve of its K * trials columns, and dB = d B, shape (K, N+1): a
+    cumsum shifted by one step plus one shifted add per correction a_n =
+    corrections[n-1].  None of them reads B_N, so B is built from
+    S_0..S_(N-1); unless passed in as ``basis``, it is freed on return.
     """
-    B, C = _reciprocal_basis(S, lam) if basis is None else basis
-    K, M = B.shape
-    G = from_modal(C[:, None, :] * coef)
-    dB = np.empty_like(B)
-    dB[:, 0] = 0.0
-    np.cumsum(B[:, :-1], axis=1, out=dB[:, 1:])
+    B, C = _reciprocal_basis(S[:-1], lam) if basis is None else basis
+    K, M = len(B), len(S)
+    G = np.ascontiguousarray(from_modal(C[:, None, :] * coef).T)
+    dB = np.zeros((K, M))
+    np.cumsum(B, axis=1, out=dB[:, 1:])
     for n, a in enumerate(corrections, start=1):
         dB[:, n:] += a * B[:, :M - n]
-    G = G.transpose(0, 2, 1).reshape(K, -1)          # rows (component, trial)
-    return (G.T @ dB).reshape(coef.shape[::-1] + (M,)).T
+    return G, dB
 
 
 #: Shifts with x = S_0 ||s||_1 / (S_0 + shift) <= _STIFF_RATIO take the
@@ -655,12 +658,13 @@ def _residuals(A, S: np.ndarray, w: np.ndarray, d: np.ndarray,
     Everything runs in blocks of components, whose rows are contiguous: the
     histories are FFT convolutions of S with the rows, the operator supplies
     its rows of A w, and the squared norms of residual and right-hand side
-    are summed over the blocks.  No work array holds more than about
-    max(trials x 2(N+1), _BLOCK) elements.
+    are summed over the blocks.  The cyclic convolutions of length >= 2N
+    wrap only S_N w^N, onto step 0, whose residual is not taken.  No work
+    array holds more than about max(trials x 2N, _BLOCK) elements.
     """
     rfft, irfft = np.fft.rfft, np.fft.irfft
     dim, trials, M = w.shape
-    nfft = _next_fast_len(2 * M - 1)
+    nfft = _next_fast_len(2 * M - 2)
     S_hat = rfft(S, nfft)
     flat = w.reshape(dim, -1)
     Arho = Arho.T[:, :, None]
@@ -814,7 +818,7 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
 
     The variants share everything that does not depend on sigma: in the
     untempered frame S^ = tau^(-alpha) l, the reciprocal 1/(S^ + lam), the
-    block solve and the residuals are sigma-free, and sigma enters only
+    spatial solve and the residuals are sigma-free, and sigma enters only
     through the factor e^(-sigma*N*tau) of the terminal value.  So the
     float64 path builds each grid's S^ and reciprocal basis once, and each
     (grid, corrected) march once; every terminal value is formed by
@@ -846,7 +850,7 @@ def _path_reports(k: int, alpha: float, lam: float, N_list, variants,
         for N in N_list:
             tau = problems[0].T / N
             S = discretize(problems[0].time_op, k, tau, N).untempered_weights
-            basis = _reciprocal_basis(S, A.eigensystem()[0])
+            basis = _reciprocal_basis(S[:-1], A.eigensystem()[0])
             for corrected in max_residual:
                 w, residuals = _untempered_march(A, S, rho_b, _corrections(k, corrected),
                                                  basis)

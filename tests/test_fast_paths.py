@@ -2,14 +2,16 @@
 
 * the shared refinement path of the convergence check against independent
   runs (one plain step_solve per grid, and per-grid twin errors);
-* the blocked residuals against the per-trial loop (kept here verbatim);
+* the blocked residuals against the per-trial loop (kept here verbatim),
+  and their length-2N cyclic convolution against a direct one;
 * the LDL^T tridiagonal solve against banded Cholesky;
 * the residual bound, tripped by a corrupted march;
 * input validation of the perturbation experiment;
 * the inverse-iteration witness of a large failing band;
 * the stiff-mode series route of the reciprocal basis against a 34-digit
   triangular solve and against Newton doubling;
-* the factored march against the per-mode march (kept here verbatim).
+* the factored march against the per-mode march (kept here verbatim): its
+  factors, and its w^, solved on the K basis rows alone.
 """
 
 import json
@@ -92,7 +94,7 @@ def test_shared_path_validates_like_the_harness():
 def reference_residuals(A, S, w, d, Arho):
     """The per-datum residual kernel before blocking (w is (N+1, dim))."""
     M, dim = w.shape
-    nfft = next_fast_len(2 * M - 1, real=True)
+    nfft = next_fast_len(2 * M - 2, real=True)
     S_hat = rfft(S, nfft)[:, None]
     hist = np.empty_like(w)
     cols = max(1, _BLOCK // nfft)
@@ -177,15 +179,15 @@ def test_ldlt_solver_leaves_rhs_untouched():
 # ---------------------------------------------------------------------------
 
 def _corrupt_march_rhs(monkeypatch, step, trial, component):
-    """Make the march scale one entry of its physical right-hand sides by 1.01."""
-    original = solver._march_rhs
+    """Make the march scale one entry of its solved w^ by 1.01 on its way
+    into the residuals."""
+    original = solver._residuals
 
-    def corrupted(*args):
-        out = original(*args)
-        out[step, trial, component] *= 1.01
-        return out
+    def corrupted(A, S, w, *args):
+        w[component, trial, step] *= 1.01
+        return original(A, S, w, *args)
 
-    monkeypatch.setattr(solver, "_march_rhs", corrupted)
+    monkeypatch.setattr(solver, "_residuals", corrupted)
 
 
 def _laplacian_problem(dim=16):
@@ -404,19 +406,20 @@ def test_reciprocal_series_without_stiff_modes_is_newton():
 def reference_rhs(A, S, rho, corrections):
     """Physical right-hand sides of the per-mode march before factoring:
     a Newton reciprocal for every mode, the modal cumsum and one full
-    from_modal of the (N+1, trials, dim) modal block (kept here verbatim)."""
+    from_modal of the (N+1, trials, dim) modal block (kept here verbatim,
+    but for the Newton rows, built to N coefficients as the march's are)."""
     lam, to_modal, from_modal = A.eigensystem()
-    R = np.empty((len(lam), len(S)))
-    solver._newton_reciprocals(S, lam, R)
+    R = np.empty((len(lam), len(S) - 1))
+    solver._newton_reciprocals(S[:-1], lam, R)
     coef = -(S[0] + lam) * to_modal(A.matvec(rho.T).T)
-    modes, M = R.shape
+    modes, M = len(lam), len(S)
     out = np.empty((M, *coef.shape))
     rows = max(1, _BLOCK // M)
     for b in range(0, modes, rows):
         Rb = R[b:b + rows]
-        block = np.empty_like(Rb)
+        block = np.empty((len(Rb), M))
         block[:, 0] = 0.0
-        np.cumsum(Rb[:, :-1], axis=1, out=block[:, 1:])
+        np.cumsum(Rb, axis=1, out=block[:, 1:])
         for n, a in enumerate(corrections, start=1):
             block[:, n:] += a * Rb[:, :M - n]
         out[:, :, b:b + rows] = block.T[:, None, :] * coef[:, b:b + rows]
@@ -426,7 +429,8 @@ def reference_rhs(A, S, rho, corrections):
 def _factored_rhs(A, S, rho, corrections):
     lam, to_modal, from_modal = A.eigensystem()
     coef = -(S[0] + lam) * to_modal(A.matvec(rho.T).T)
-    return solver._march_rhs(S, lam, coef, from_modal, corrections)
+    G, dB = solver._march_factors(S, lam, coef, from_modal, corrections)
+    return (G.reshape(-1, len(dB)) @ dB).reshape(*G.shape[:2], -1).T
 
 
 def _dense_spd(dim):
@@ -463,6 +467,33 @@ def test_factored_march_matches_per_mode_march(case, trials):
     assert rhs.shape == ref.shape == (N + 1, trials, A.dim)
     # at most 7.8e-16 of max|rhs| seen over these eight cases
     assert np.max(np.abs(rhs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("trials", (1, 10))
+@pytest.mark.parametrize("case", sorted(_FACTORED_CASES))
+def test_march_solves_the_per_mode_right_hand_sides(case, trials):
+    # w^ from the K solved basis rows against the per-mode right-hand sides
+    # solved step by step.  Both solves are backward stable, so the gap is
+    # roundoff of the right-hand sides times the condition number of
+    # S_0 I + A: at most 1.8e-16 cond of max|w^| seen over these eight cases
+    # (1.3e-13 at cond 2.3e3 for dense-10 with OpenBLAS's Haswell kernels),
+    # and at most 7.9e-16 of max|rhs| once S_0 I + A is applied to it.
+    make, alpha, _ = _FACTORED_CASES[case]
+    A, N, k = make(), 256, 4
+    S = discretize(FractionalOperatorSpec(SingleTerm(alpha), sigma=0.4), k, 1.0 / N,
+                   N).untempered_weights
+    corrections = [float(a) for a in solver.correction_weights(k)]
+    rho = np.random.default_rng(trials).standard_normal((trials, A.dim))
+    w, _ = _untempered_march(A, S, rho, corrections)
+    rhs = np.ascontiguousarray(reference_rhs(A, S, rho, corrections).T)
+    ref = A.shifted_solver(S[0])(rhs.reshape(A.dim, -1)).reshape(rhs.shape)
+    assert w.shape == ref.T.shape == (N + 1, trials, A.dim)
+    lam = A.eigensystem()[0]
+    cond = (S[0] + lam.max()) / (S[0] + lam.min())
+    gap = w.T - ref
+    assert np.max(np.abs(gap)) <= 1e-15 * cond * np.max(np.abs(ref))
+    applied = S[0] * gap + A.matvec(gap.reshape(A.dim, -1)).reshape(gap.shape)
+    assert np.max(np.abs(applied)) <= 1e-14 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("k", (3, 6))
@@ -507,6 +538,52 @@ def test_march_maps_only_the_basis_rows_back(monkeypatch):
     step_solve(problem, k, N)
     stability_experiment(problem, k, N, perturbations=trials)
     assert rows == [K, K * trials]
+
+
+def test_march_solves_only_the_basis_rows(monkeypatch):
+    # the one spatial solve of a dim-512 march sees K * trials columns, not
+    # (N+1) * trials
+    A, N, k, trials = TridiagonalLaplacian(512), 1024, 4, 3
+    factory, cols = A.shifted_solver, []
+
+    def counting(shift):
+        solve = factory(shift)
+
+        def counted(rhs, out=None):
+            cols.append(rhs.size // A.dim)
+            return solve(rhs, out=out)
+        return counted
+
+    monkeypatch.setattr(A, "shifted_solver", counting)
+    problem = SubdiffusionProblem(A=A, rho=np.sin(math.pi * A.grid()), T=1.0,
+                                  time_op=FractionalOperatorSpec(SingleTerm(0.5)))
+    S = discretize(problem.time_op, k, 1.0 / N, N).untempered_weights
+    K = len(solver._reciprocal_basis(S[:-1], A.eigenvalues())[0])
+    assert K < 64
+    step_solve(problem, k, N)
+    stability_experiment(problem, k, N, perturbations=trials)
+    assert cols == [K, K * trials]
+
+
+@pytest.mark.parametrize("N", (1, 2, 40, 300))
+def test_residuals_match_direct_convolution(N):
+    # random w^ with w^0 != 0 makes every residual O(1), so the length-2N
+    # cyclic convolution, which wraps S_N w^N onto step 0, is checked
+    # against a direct history
+    rng = np.random.default_rng(N)
+    A, trials = TridiagonalLaplacian(8), 3
+    S = rng.standard_normal(N + 1)
+    S[0] = 2.0
+    w = rng.standard_normal((A.dim, trials, N + 1))
+    d, Arho = rng.standard_normal(N + 1), rng.standard_normal((trials, A.dim))
+    assert np.all(w[:, :, 0] != 0.0)
+    ref = np.zeros((N + 1, trials))
+    for b in range(trials):
+        hist = np.array([np.convolve(S, row)[:N + 1] for row in w[:, b]]) - S[0] * w[:, b]
+        rhs = -d * Arho[b][:, None] - hist
+        res = S[0] * w[:, b] + A.matvec(w[:, b]) - rhs
+        ref[1:, b] = (np.linalg.norm(res, axis=0) / np.linalg.norm(rhs, axis=0))[1:]
+    np.testing.assert_allclose(solver._residuals(A, S, w, d, Arho), ref, rtol=1e-12, atol=0.0)
 
 
 def test_large_sigma_problems_cover_both_routes():

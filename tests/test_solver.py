@@ -154,6 +154,22 @@ def test_dense_spd_holds_a_private_read_only_matrix():
             held[0, 0] = 3.0
 
 
+@pytest.mark.parametrize("make", [lambda: DenseSPDOperator(2.0 * np.eye(3)),
+                                  lambda: ScalarOperator(2.0)], ids=["dense", "scalar"])
+def test_dense_eigensystem_refuses_writes(make):
+    """The eigensystem a caller reads is the one every solve uses, so it
+    refuses writes, and a refused edit leaves the solves as they were."""
+    A = make()
+    lam, to_modal, from_modal = A.eigensystem()
+    with pytest.raises(ValueError):
+        lam[:] = 5.0
+    with pytest.raises(ValueError):
+        A._V[0, 0] = 5.0
+    assert_allclose(A.shifted_solver(1.0)(np.ones(A.dim)), np.full(A.dim, 1.0 / 3.0),
+                    rtol=1e-15)
+    assert_allclose(from_modal(to_modal(np.ones(A.dim))), np.ones(A.dim), rtol=1e-15)
+
+
 def test_scalar_operator_is_the_one_by_one_dense_operator():
     """The scalar operator is a 1 x 1 DenseSPDOperator whose shifted solve
     is bitwise b / (shift + value), for 1-D and 2-D b and in place."""

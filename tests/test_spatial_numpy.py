@@ -2,9 +2,9 @@
 replace: the partitioned tridiagonal solve against LAPACK ``dpttrs``, the
 DST-I against ``scipy.fft.dst``, ``_next_fast_len`` against
 ``scipy.fft.next_fast_len`` and the dense solve from the eigensystem
-against Cholesky.  The solve into ``out=``, which the march makes in its
-right-hand-side buffer, against the plain solve, and the memory that
-buffer saves."""
+against Cholesky.  The solve into ``out=``, which the march makes in the
+buffer of its basis columns, against the plain solve, and the memory a
+march holds."""
 
 import functools
 import tracemalloc
@@ -150,11 +150,12 @@ def test_tridiagonal_solve_refuses_an_out_it_cannot_fill():
 @pytest.mark.parametrize("dim, N", [(512, 1024), (2039, 512)])
 def test_march_solves_in_its_right_hand_side_buffer(dim, N):
     """A step_solve holds one trajectory, the (N+1) x dim float64 array of
-    its right-hand sides, which it solves in place and turns into u in place:
-    the multi-piece tridiagonal solve sweeps its whole pieces in that buffer
-    (dim 2039 adds a padded last piece, the only one it copies).  Its traced
-    peak is at most 1.3 trajectories and its result holds at most 1.05
-    (2.11 and 2.00 with an (m, P, cols) sweep buffer and u stored beside w)."""
+    w^, which one matrix product writes from the solved basis columns and
+    which it turns into u in place: the multi-piece tridiagonal solve sweeps
+    its whole pieces in the dim x K buffer of those columns (dim 2039 adds a
+    padded last piece, the only one it copies).  Its traced peak is at most
+    1.3 trajectories and its result holds at most 1.05 (2.11 and 2.00 with
+    an (m, P, cols) sweep buffer and u stored beside w)."""
     A = TridiagonalLaplacian(dim)
     problem = SubdiffusionProblem(A, np.sin(np.pi * A.grid()), 1.0,
                                   FractionalOperatorSpec(SingleTerm(0.5)))
@@ -169,3 +170,23 @@ def test_march_solves_in_its_right_hand_side_buffer(dim, N):
     assert peak <= 1.3 * trajectory
     assert held <= 1.05 * trajectory
     assert result.u.shape == (N + 1, dim)
+
+
+def test_small_dim_march_frees_its_basis_before_the_product():
+    """At the benchmark's tri64 shape (dim 64, N = 4096, k = 4, alpha = 0.5)
+    the K = 30 basis rows B and their datum products dB are about half a
+    trajectory each.  B is freed before the product that writes w^, so the
+    traced peak is at most 1.6 trajectories (1.99 with B, dB and the
+    right-hand sides live together)."""
+    dim, N = 64, 4096
+    A = TridiagonalLaplacian(dim)
+    problem = SubdiffusionProblem(A, np.sin(np.pi * A.grid()), 1.0,
+                                  FractionalOperatorSpec(SingleTerm(0.5)))
+    step_solve(problem, 4, N)                   # fill the weight and FFT-length caches
+    tracemalloc.start()
+    try:
+        step_solve(problem, 4, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (N + 1) * dim * 8
