@@ -90,9 +90,7 @@ backward error is within 2x that of LAPACK ``dpttrs``
 (tests/test_spatial_numpy.py).  The march runs on numpy alone and loads no
 scipy module.  All operators expose the energy norm |A^(1/2) v|, which the
 stability experiments use, and ``shifted_solver`` for one step's system
-(S_0 I + A) x = b, whose solve takes numpy's ``out=``: the march solves its
-K basis columns in their own buffer, and the Laplacian's pieces sweep in
-it, all but a padded last one in place.
+(S_0 I + A) x = b, which the march solves once, on its K basis columns.
 """
 
 from __future__ import annotations
@@ -204,22 +202,15 @@ class TridiagonalLaplacian:
         of m = ceil(size / P) rows; padding rows that continue the stencil
         fill the last piece.  Every piece is then the same matrix, with one
         LDL^T (dpttrf's recurrence, in Python floats), and the pieces are
-        solved in lockstep: each row operation covers every whole piece and
-        every column, and a padded last piece is swept after them.  With one
-        piece this is dpttrs.  Otherwise the couplings
-        across the cuts between pieces, and the one that the padding adds,
-        are moved to the right-hand side, as in the partition (SPIKE) method
-        of Polizzi and Sameh (Parallel Computing 32, 2006).  The values at
-        the 2C rows next to the C cuts solve a 2C x 2C interface system,
-        whose coefficients are entries of the piece's inverse; with them
-        known, one lockstep solve gives x (and zero padding rows).
-
-        The returned ``solve(rhs, out=None)`` writes x into ``out`` if it is
-        given (a C-contiguous float64 array of rhs's shape, rhs itself
-        included).  With F, r = divmod(size, m), the F whole pieces are swept
-        in place in it, viewed as (m, F, cols); only a padded last piece
-        (r > 0) lives in an (m, 1, cols) buffer, whose r real rows are copied
-        into it at the end.
+        solved in lockstep, on b extended by zero padding rows: each row
+        operation covers every piece and every column.  With one piece this
+        is dpttrs.  Otherwise the couplings across the cuts between pieces,
+        and the one that the padding adds, are moved to the right-hand side,
+        as in the partition (SPIKE) method of Polizzi and Sameh (Parallel
+        Computing 32, 2006).  The values at the 2C rows next to the C cuts
+        solve a 2C x 2C interface system, whose coefficients are entries of
+        the piece's inverse; with them known, one lockstep solve gives x
+        (and zero padding rows).  A b without size rows raises ValueError.
         """
         n, main, off = self.size, self._main + shift, self._off
         if not shift + self.eigenvalues()[0] > 0.0:
@@ -227,13 +218,12 @@ class TridiagonalLaplacian:
                                         f"(shift {shift!r})")
         P = min(max(1, n // 64), 32)
         m = -(-n // P)
-        F, r = divmod(n, m)                     # F whole pieces, r rows in a padded one
         d, l = [main], []
         for _ in range(m - 1):
             l.append(off / d[-1])
             d.append(main - l[-1] * off)
 
-        def pieces(X):                          # X (m, pieces, cols), in place
+        def pieces(X):                          # X (m, P, cols), in place
             tmp = np.empty_like(X[0])
             for i in range(1, m):
                 np.subtract(X[i], np.multiply(X[i - 1], l[i - 1], out=tmp), out=X[i])
@@ -244,7 +234,7 @@ class TridiagonalLaplacian:
 
         # cut c couples rows c - 1 and c by o: the true coupling between
         # pieces, and minus it where the padding starts
-        cuts = [(c, off) for c in range(m, P * m, m)] + [(n, -off)] * (r > 0)
+        cuts = [(c, off) for c in range(m, P * m, m)] + [(n, -off)] * (n < P * m)
         if cuts:
             c, o = np.array(cuts).T
             at = np.stack((c - 1, c), axis=1).ravel().astype(int)      # rows next to the cuts
@@ -257,34 +247,19 @@ class TridiagonalLaplacian:
             locs = sorted(set(at % m))
             G = G[locs]
             rows = (at // m, [locs.index(q) for q in at % m])
-            whole = enter < F * m               # x_at entering the whole pieces
 
-        def solve(rhs, out=None):
+        def solve(rhs):
             rhs = np.asarray(rhs, dtype=float)
-            if out is None:
-                out = np.empty(rhs.shape)
-            elif not (out.shape == rhs.shape and out.dtype == float and out.flags.c_contiguous):
-                raise ValueError("out must be a C-contiguous float64 array of rhs's shape")
-            b, x = rhs.reshape(n, -1), out.reshape(n, -1)       # x is a view
-            if out is not rhs:
-                x[...] = b
-            cols = x.shape[1]
-            groups = [x[:F * m].reshape(F, m, cols).transpose(1, 0, 2)]
-            if r:                               # the padded last piece
-                pad = np.zeros((m, cols))
-                pad[:r] = x[F * m:]
-                groups.append(pad[:, None])
+            if rhs.shape[:1] != (n,):
+                raise ValueError(f"rhs must have {n} rows, got shape {rhs.shape}")
+            b = rhs.reshape(n, -1)
+            x = np.zeros((P * m, b.shape[1]))
+            x[:n] = b
+            X = x.reshape(P, m, -1)
             if cuts:
-                Gb = np.concatenate([G @ X.transpose(1, 0, 2) for X in groups])
-                corr = o * np.linalg.solve(Z, Gb[rows])
-                x[enter[whole]] -= corr[whole]
-                if r:
-                    pad[enter[~whole] - F * m] -= corr[~whole]
-            for X in groups:
-                pieces(X)
-            if r:
-                x[F * m:] = pad[:r]
-            return out
+                x[enter] -= o * np.linalg.solve(Z, (G @ X)[rows])
+            pieces(X.transpose(1, 0, 2))
+            return x[:n].reshape(rhs.shape)
         return solve
 
     def eigensystem(self):
@@ -333,16 +308,16 @@ class DenseSPDOperator:
 
     def shifted_solver(self, shift: float):
         """x = V ((V^T b) / (shift + lam)), the quotient taken in place, solves
-        (A + shift I) x = b for b of shape (dim,) or (dim, cols); ``out`` may be b."""
+        (A + shift I) x = b for b of shape (dim,) or (dim, cols)."""
         denom = shift + self._lam
         if not denom[0] > 0.0:
             raise np.linalg.LinAlgError(f"shifted operator is not positive definite "
                                         f"(shift {shift!r})")
 
-        def solve(rhs, out=None):
+        def solve(rhs):
             y = self._V.T @ np.ascontiguousarray(rhs, dtype=float)
             np.divide(y.T, denom, out=y.T)
-            return np.matmul(self._V, y, out=out)
+            return self._V @ y
         return solve
 
     def eigensystem(self):
@@ -513,7 +488,7 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
     Returns w^ of shape (N+1, trials, dim), the transposed view of a
     time-contiguous array (module docstring), and its relative residuals,
     shape (N+1, trials).  With (G, dB) of :func:`_march_factors`, w^ =
-    H^T dB for H = (S_0 I + A)^(-1) G, solved in G's buffer; G, H and dB
+    H^T dB for H = (S_0 I + A)^(-1) G, one spatial solve; G, H and dB
     are freed before the residuals.  The reciprocal basis (of S^_0..S^_(N-1)
     and lam) depends on neither the data nor the corrections: a caller
     marching several data with the same S^ and operator may pass it as
@@ -538,8 +513,7 @@ def _untempered_march(A, S: np.ndarray, rho: np.ndarray, corrections: list[float
             f"(S_0 + lam) * A rho overflows float64: S_0 = {float(S[0])!r}, "
             f"largest eigenvalue {float(lam.max())!r}")
     G, dB = _march_factors(S, lam, -(S[0] + lam) * modal, from_modal, corrections, basis)
-    H = G.reshape(len(G), -1)
-    A.shifted_solver(S[0])(H, out=H)                 # solved in G's buffer
+    H = A.shifted_solver(S[0])(G.reshape(len(G), -1))
     w = (H.reshape(-1, len(dB)) @ dB).reshape(*G.shape[:2], -1)
     del G, H, dB
     residuals = _residuals(A, S, w, d, Arho)

@@ -102,11 +102,10 @@ _GK_GAUSS = (0.0, 0.129484966168869693270611432679082,
              0.0, 0.417959183673469387755102040816327)
 
 
-def _series_profile(alpha: float, z: float, drop: float = 45.0,
-                    give_up: float | None = None):
+def _series_profile(alpha: float, z: float, give_up: float | None = None):
     """Scan term magnitudes in log space.
 
-    Returns (n_terms, peak_log10): how many terms until they fall ``drop``
+    Returns (n_terms, peak_log10): how many terms until they fall 45
     decimal digits below the running peak, and the peak magnitude.  Stops
     early once the peak exceeds ``give_up`` digits (the caller will not
     sum the series anyway) or at :data:`_TERM_BUDGET` terms.
@@ -119,7 +118,7 @@ def _series_profile(alpha: float, z: float, drop: float = 45.0,
         peak = max(peak, t)
         if give_up is not None and peak > give_up:
             return m + 1, peak
-        if t < peak - drop and t < -25.0:
+        if t < peak - 45.0 and t < -25.0:
             return m + 1, peak
         m += 1
     return m, peak

@@ -104,11 +104,11 @@ def positivity_generating_function(k: int, sigma: float = 0.0,
     return TrigPolynomial(tuple(coeffs))
 
 
-def _newton_polish(coeffs_desc, x0: float, steps: int = 4) -> float:
+def _newton_polish(coeffs_desc, x0: float) -> float:
     p = np.asarray(coeffs_desc, dtype=float)
     dp = np.polyder(p)
     x = float(x0)
-    for _ in range(steps):
+    for _ in range(4):
         d = np.polyval(dp, x)
         if d == 0.0:
             break
@@ -116,13 +116,13 @@ def _newton_polish(coeffs_desc, x0: float, steps: int = 4) -> float:
     return x
 
 
-def _real_roots_in(coeffs_desc, lo: float, hi: float,
-                   imag_tol: float = 1e-8) -> list[float]:
-    """Real roots inside (lo, hi): companion-matrix eigenvalues, polished."""
+def _real_roots_in(coeffs_desc, lo: float, hi: float) -> list[float]:
+    """Real roots inside (lo, hi): companion-matrix eigenvalues with
+    |imaginary part| < 1e-8, polished."""
     roots = np.roots(np.asarray(coeffs_desc, dtype=float))
     out = []
     for r in roots:
-        if abs(r.imag) < imag_tol and lo < r.real < hi:
+        if abs(r.imag) < 1e-8 and lo < r.real < hi:
             out.append(_newton_polish(coeffs_desc, r.real))
     return sorted(out)
 

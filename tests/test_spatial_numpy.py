@@ -2,9 +2,8 @@
 replace: the partitioned tridiagonal solve against LAPACK ``dpttrs``, the
 DST-I against ``scipy.fft.dst``, ``_next_fast_len`` against
 ``scipy.fft.next_fast_len`` and the dense solve from the eigensystem
-against Cholesky.  The solve into ``out=``, which the march makes in the
-buffer of its basis columns, against the plain solve, and the memory a
-march holds."""
+against Cholesky.  What every operator's solve leaves of its right-hand
+side and how it treats one column, and the memory a march holds."""
 
 import functools
 import tracemalloc
@@ -124,38 +123,42 @@ OUT_CASES = ([("scalar", 1)] + [("tridiagonal", d) for d in DIMS]
 @pytest.mark.parametrize("cols", (1, 5, 4097))
 @pytest.mark.parametrize("kind, dim", OUT_CASES)
 def test_solve_into_out_is_bitwise_the_plain_solve(kind, dim, cols):
+    """The solve writes into an output array of its own, leaving b alone, and
+    a contiguous copy of one column solves bitwise as the strided column."""
     solve = _operator(kind, dim).shifted_solver(0.5)
     b = np.random.default_rng(dim + cols).standard_normal((dim, cols))
     b0 = b.copy()
     x = solve(b)
-    assert x.shape == b.shape and b.tobytes() == b0.tobytes()      # b is left alone
-    in_place = b.copy()
-    assert solve(in_place, out=in_place) is in_place
-    assert in_place.tobytes() == x.tobytes()
-    out = np.full_like(b, np.nan)
-    assert solve(b, out=out) is out
-    assert out.tobytes() == x.tobytes() and b.tobytes() == b0.tobytes()
-    vec = b[:, 0].copy()                                           # one right-hand side
-    assert solve(vec, out=vec) is vec and vec.tobytes() == solve(b[:, 0]).tobytes()
+    assert x.shape == b.shape and not np.shares_memory(x, b)
+    assert b.tobytes() == b0.tobytes()                             # b is left alone
+    vec = solve(b[:, 0].copy())                                    # one right-hand side
+    assert vec.shape == (dim,) and vec.tobytes() == solve(b[:, 0]).tobytes()
 
 
-def test_tridiagonal_solve_refuses_an_out_it_cannot_fill():
-    A = TridiagonalLaplacian(300)
-    solve, b = A.shifted_solver(1.0), np.ones((300, 4))
-    for out in (np.empty((4, 300)).T, np.empty((300, 5)), np.empty((300, 4), dtype=np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            solve(b, out=out)
+@pytest.mark.parametrize("kind", ("scalar", "tridiagonal", "dense"))
+def test_solve_takes_no_out(kind):
+    A = _operator(kind, 4)
+    b = np.ones((A.dim, 3))
+    with pytest.raises(TypeError):
+        A.shifted_solver(0.5)(b, out=b)
+
+
+def test_tridiagonal_solve_refuses_a_rhs_without_size_rows():
+    # neither a (4, 300) block nor a length-600 vector has the 300 rows
+    # the sweep reads; solving either would miss its equations
+    solve = TridiagonalLaplacian(300).shifted_solver(1.0)
+    for b in (np.ones((4, 300)), np.ones(600)):
+        with pytest.raises(ValueError, match="300 rows"):
+            solve(b)
 
 
 @pytest.mark.parametrize("dim, N", [(512, 1024), (2039, 512)])
 def test_march_solves_in_its_right_hand_side_buffer(dim, N):
     """A step_solve holds one trajectory, the (N+1) x dim float64 array of
     w^, which one matrix product writes from the solved basis columns and
-    which it turns into u in place: the multi-piece tridiagonal solve sweeps
-    its whole pieces in the dim x K buffer of those columns (dim 2039 adds a
-    padded last piece, the only one it copies).  Its traced peak is at most
-    1.3 trajectories and its result holds at most 1.05 (2.11 and 2.00 with
-    an (m, P, cols) sweep buffer and u stored beside w)."""
+    which it turns into u in place.  Its traced peak is at most 1.3
+    trajectories and its result holds at most 1.05 (2.11 and 2.00 when the
+    solve ran on all N+1 steps and u was stored beside w)."""
     A = TridiagonalLaplacian(dim)
     problem = SubdiffusionProblem(A, np.sin(np.pi * A.grid()), 1.0,
                                   FractionalOperatorSpec(SingleTerm(0.5)))
